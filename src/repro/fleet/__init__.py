@@ -4,12 +4,14 @@ PRs 1-6 made one machine fast and fault-tolerant; this package scales a
 sweep past one process tree.  The split mirrors SimBricks' symphony
 layout (cli / runner / runtime / orchestration):
 
-* :mod:`repro.fleet.wire` — the length-prefixed JSON frame codec both
+* :mod:`repro.net.framing` — the length-prefixed JSON frame codec both
   sides speak, with typed errors for oversized / corrupt / truncated
   frames (never a hang);
-* :mod:`repro.fleet.lease` — the pure lease state machine the
-  coordinator trusts: grant / renew / expire / complete with
-  first-write-wins commits, no I/O, no wall clock of its own;
+* :mod:`repro.harness.lease` — the pure lease state machine the
+  coordinator trusts (the same one the local
+  :class:`~repro.harness.executor.SweepExecutor` schedules through):
+  grant / renew / expire / complete with first-write-wins commits, no
+  I/O, no wall clock of its own;
 * :mod:`repro.fleet.coordinator` — the TCP server that owns the sweep:
   cell queue, lease table, result acceptance into the append-only
   :class:`~repro.harness.sweep.ResultStore`;
@@ -29,10 +31,10 @@ result delivery (first-write-wins, discards deterministic).
 """
 
 from repro.fleet.coordinator import CoordinatorConfig, FleetCoordinator
-from repro.fleet.lease import LeaseTable
 from repro.fleet.local import FleetError, FleetSummary, run_fleet_local
 from repro.fleet.runner import FleetRunner, RunnerStats
-from repro.fleet.wire import (
+from repro.harness.lease import LeaseTable
+from repro.net.framing import (
     CorruptFrameError,
     FrameTooLargeError,
     TruncatedStreamError,

@@ -10,7 +10,7 @@ about, and every runner message doubles as a liveness heartbeat
 (renewing its leases).
 
 Message vocabulary (all frames are JSON objects, see
-:mod:`repro.fleet.wire`):
+:mod:`repro.net.framing`):
 
 ==============  ======================================  =========================
 runner sends    fields                                  coordinator replies
@@ -27,7 +27,7 @@ runner sends    fields                                  coordinator replies
 ==============  ======================================  =========================
 
 Safety lives in two independent layers: the
-:class:`~repro.fleet.lease.LeaseTable` commits each cell at most once
+:class:`~repro.harness.lease.LeaseTable` commits each cell at most once
 (first-write-wins over any interleaving of grants, expiries, deaths and
 late deliveries), and the :class:`~repro.harness.sweep.ResultStore`
 dedups on ``cell_id`` again at append time — so even a second
@@ -45,9 +45,9 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.fleet.lease import LeaseTable
-from repro.fleet.wire import FrameConnection, WireError
+from repro.harness.lease import LeaseTable
 from repro.harness.sweep import ResultStore
+from repro.net.framing import FrameConnection, WireError
 
 #: Default seconds a drained runner is told to sleep before re-polling.
 DEFAULT_RETRY_AFTER = 0.05
@@ -216,11 +216,7 @@ class FleetCoordinator:
         """How many cells ``runner_id`` currently holds (thread-safe)."""
 
         with self._lock:
-            return sum(
-                1
-                for lease in self.table._leases.values()
-                if lease.runner_id == runner_id
-            )
+            return len(self.table.held_by(runner_id))
 
     @property
     def committed_count(self) -> int:

@@ -27,7 +27,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from repro.fleet.wire import FrameConnection, TruncatedStreamError, WireError
+from repro.net.framing import FrameConnection, TruncatedStreamError, WireError
 
 
 class RunnerError(RuntimeError):
@@ -141,14 +141,14 @@ class FleetRunner:
                 if kind != "cells":
                     raise RunnerError(f"unexpected lease reply {reply!r}")
                 self.stats.batches_leased += 1
-                for line in self._execute(reply["cells"], trace_mode, executor):
+                for cell_id, line in self._execute(reply["cells"], trace_mode, executor):
                     self.stats.cells_executed += 1
                     ack = self._exchange(
                         conn,
                         {
                             "type": "result",
                             "runner": self.runner_id,
-                            "cell_id": json.loads(line)["cell_id"],
+                            "cell_id": cell_id,
                             "line": line,
                         },
                     )
@@ -184,31 +184,20 @@ class FleetRunner:
         return reply
 
     def _execute(self, cell_dicts: list[dict], trace_mode: str, executor):
-        """Yield canonical result lines for one leased batch."""
+        """Yield ``(cell_id, canonical line)`` for one leased batch."""
 
-        from repro.harness.sweep import (
-            Cell,
-            canonical_record,
-            process_snapshot_store,
-            run_cell,
-        )
+        from repro.harness.sweep import Cell, execute_cells
 
         cells = [Cell.from_dict(data) for data in cell_dicts]
-        if executor is not None:
-            yield from executor.map_cells(
-                cells,
-                trace_mode,
-                snapshot_dir=self.snapshot_dir,
-                warmup_views=self.warmup_views,
+        if executor is None:
+            yield from execute_cells(
+                cells, trace_mode, self.snapshot_dir, self.warmup_views
             )
-        else:
-            snapshot_store = process_snapshot_store(self.snapshot_dir)
-            for cell in cells:
-                yield canonical_record(
-                    run_cell(
-                        cell,
-                        trace_mode,
-                        snapshot_store=snapshot_store,
-                        warmup_views=self.warmup_views,
-                    )
-                )
+            return
+        for line in executor.map_cells(
+            cells,
+            trace_mode,
+            snapshot_dir=self.snapshot_dir,
+            warmup_views=self.warmup_views,
+        ):
+            yield json.loads(line)["cell_id"], line

@@ -1,41 +1,44 @@
 """The persistent, self-healing sweep worker pool.
 
-``run_sweep`` historically spun up a throwaway ``multiprocessing.Pool``
-per sweep and shipped cells one at a time (``chunksize=1``).  For grids
-of hundreds of small cells the orchestration — pool spin-up, worker
-imports, per-cell IPC round-trips, per-cell scaffolding rebuilds —
-rivals the simulation work itself.  :class:`SweepExecutor` makes grid
-execution the fast path, and (since the fault-injection PR) survives a
-hostile world:
+:class:`SweepExecutor` runs sweep cells on a warm pool of worker
+processes.  It has no scheduler of its own: each :meth:`~SweepExecutor.
+map_cells` dispatch builds one :class:`~repro.harness.lease.LeaseTable`
+— the same table the fleet coordinator (:mod:`repro.fleet`) schedules
+through — and treats every worker as a runner of it.  The fleet's
+runners speak TCP; the executor's speak over a ``multiprocessing``
+pipe.  Everything else is the table's:
 
-* **Warm pool.**  One pool of supervised worker processes, created
-  lazily on first dispatch (or eagerly via :meth:`warmup`), reused
-  across any number of sweeps.  The worker initializer pre-imports the
-  whole protocol stack so the first real cell does not pay import
-  latency inside the worker.
-* **Spawn start method.**  Workers are started fresh (``spawn``) rather
-  than forked: identical behaviour on Linux/macOS/Windows, no
-  fork-with-threads hazards, and an honest cold-start cost that the
-  warm pool then amortizes away.
-* **Adaptive chunked dispatch.**  Cells ship in chunks sized from the
-  grid and worker count (``chunksize=0`` picks
-  ``clamp(todo / (workers * 4), 1, 16)``), collapsing per-cell IPC
+* a chunk dispatch is a ``grant``, and a chunk reply goes through
+  ``complete`` (first write wins; a reply to an abandoned earlier
+  dispatch names cells the new table does not know, and is dropped);
+* a dead worker is ``runner_dead``, and a per-cell timeout is lease
+  expiry (a chunk of ``k`` cells gets ``k * cell_timeout``);
+* a failed cell is retried after a deterministic backoff derived from
+  its hash (:func:`repro.faults.retry_backoff`) and granted alone; once
+  out of ``retries`` it is quarantined as a canonical ``status:
+  "failed"`` record instead of killing the sweep.
+
+What the executor adds is the pool itself:
+
+* **Warm pool.**  Workers are created lazily on first dispatch (or
+  eagerly via :meth:`~SweepExecutor.warmup`) and reused across any
+  number of sweeps.  The worker initializer pre-imports the protocol
+  stack so the first real cell does not pay import latency.
+* **Spawn start method.**  Workers start fresh (``spawn``) rather than
+  forked: identical behaviour on every platform, no fork-with-threads
+  hazards, and an honest cold-start cost the warm pool amortizes.
+* **Adaptive chunked dispatch.**  ``chunksize=0`` picks
+  ``clamp(todo / (workers * 4), 1, 16)``, collapsing per-cell IPC
   round-trips while keeping enough chunks in flight for load balance.
-* **Worker-side serialization.**  Workers return each record already in
-  canonical JSONL form; the parent appends the raw line to the
-  ``ResultStore`` instead of re-serializing (one canonical encoder, one
-  invocation — byte-identity across serial/parallel is by construction).
-* **Self-healing supervision.**  Each worker is an explicit ``Process``
-  with a duplex ``Pipe`` (``multiprocessing.Pool`` hangs forever when a
-  worker is SIGKILLed mid-task — its result simply never arrives).  The
-  parent detects worker death and per-chunk timeouts, respawns the
-  worker, and retries the affected cells with deterministic exponential
-  backoff + jitter derived from the cell hash
-  (:func:`repro.faults.retry_backoff`).  A cell that exhausts its
-  retries becomes a canonical ``status: "failed"`` quarantine record
-  instead of killing the sweep.  A worker that dies during start-up
-  raises :class:`WorkerPoolError` carrying its exit code — never a
-  silent hang.
+* **Worker-side serialization.**  Workers run cells through
+  :func:`repro.harness.sweep.execute_cells` and return canonical JSONL
+  lines; the parent appends the raw line (one encoder, one invocation —
+  byte identity across serial/parallel is by construction).
+* **Supervision.**  Each worker is an explicit ``Process`` with a duplex
+  ``Pipe`` (``multiprocessing.Pool`` hangs forever when a worker is
+  SIGKILLed mid-task).  Dead and timed-out workers are respawned; a
+  worker that dies during start-up raises :class:`WorkerPoolError`
+  carrying its exit code — never a silent hang.
 * **Chaos mode.**  A :class:`repro.faults.ChaosPlan` SIGKILLs workers
   immediately before selected cells — on the first attempt only, so a
   sweep with ``retries >= 1`` always converges to the byte-identical
@@ -46,22 +49,22 @@ Determinism is unaffected by any of this: cells derive all randomness
 from their own coordinates, workers share no mutable state, and the
 per-worker prebuild caches (:mod:`repro.harness.prebuild`) hold only
 artefacts that are pure functions of their cache key.  Completion order
-*within* a sweep may vary with chunking and retries — exactly as it
-already did under ``imap_unordered`` — which is why consumers read
-sorted records.
+*within* a sweep may vary with chunking and retries, which is why
+consumers read sorted records.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
 import sys
 import time
-from collections import deque
 from multiprocessing import connection
 
-from repro.faults import ChaosPlan, retry_backoff
+from repro.faults import ChaosPlan
+from repro.harness.lease import LeaseTable
 
 _READY = "__worker_ready__"
 
@@ -130,43 +133,21 @@ def _worker_init() -> None:
     Log.genesis()
 
 
-def _run_cell_to_line(payload: tuple[dict, str], snapshot_store=None, warmup_views=None) -> str:
-    """Worker entry point: execute one cell, return its canonical line.
-
-    Serializing in the worker (a) moves the JSON encode off the parent's
-    critical path and (b) guarantees the parent appends exactly the
-    canonical bytes — there is a single serialization per record,
-    produced by the same :func:`repro.harness.sweep.canonical_record`
-    the serial path uses.
-    """
-
-    from repro.harness.sweep import Cell, canonical_record, run_cell
-
-    cell_data, trace_mode = payload
-    return canonical_record(
-        run_cell(
-            Cell.from_dict(cell_data),
-            trace_mode,
-            snapshot_store=snapshot_store,
-            warmup_views=warmup_views,
-        )
-    )
-
-
 def _pool_worker_main(conn) -> None:
-    """Worker process main loop: init, handshake, serve chunk tasks.
+    """Worker process main loop: init, handshake, serve chunks.
 
     Protocol (all over the duplex pipe): the worker sends ``_READY``
-    once initialized, then for each received ``(task_id, options,
-    items)`` — where ``options`` is a dict carrying ``trace_mode`` plus
-    the snapshot-tier settings, and ``items`` is a list of
-    ``(cell_dict, attempt, kill)`` triples — it executes the cells in
-    order and replies ``(task_id, lines, stats)``, where ``stats``
-    carries the chunk's prebuild/snapshot cache-counter deltas.  A
-    ``kill`` item SIGKILLs the process before executing that cell
-    (chaos mode: the parent decides, the worker obeys, determinism
-    lives with the :class:`~repro.faults.ChaosPlan`).  ``None`` or a
-    closed pipe shuts the worker down.
+    once initialized, then for each received ``(options, items)`` —
+    where ``options`` is a dict carrying ``trace_mode`` plus the
+    snapshot-tier settings, and ``items`` is a list of ``(cell_dict,
+    attempt, kill)`` triples — it executes the cells in order through
+    :func:`repro.harness.sweep.execute_cells` and replies ``(pairs,
+    cache)``: one ``(cell_id, canonical line)`` pair per cell plus the
+    chunk's prebuild/snapshot cache-counter deltas.  A ``kill`` item
+    SIGKILLs the process before executing that cell (chaos mode: the
+    parent decides, the worker obeys, determinism lives with the
+    :class:`~repro.faults.ChaosPlan`).  ``None`` or a closed pipe shuts
+    the worker down.
 
     The worker-side :class:`~repro.snapshot.SnapshotStore` is cached
     per ``snapshot_dir`` for the life of the process
@@ -184,8 +165,21 @@ def _pool_worker_main(conn) -> None:
         conn.send(_READY)
     except (BrokenPipeError, OSError):
         return
+    from repro.harness.sweep import Cell, execute_cells
+
     hang_cell = os.environ.get(_HANG_CELL_ENV)
     hang_attempts = int(os.environ.get(_HANG_ATTEMPTS_ENV, "1"))
+
+    def chunk_cells(items):
+        # Lazy, so each hook fires right before its own cell runs.
+        for cell_data, attempt, kill in items:
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            cell = Cell.from_dict(cell_data)
+            if cell.cell_id == hang_cell and attempt < hang_attempts:
+                time.sleep(3600)
+            yield cell
+
     while True:
         try:
             task = conn.recv()
@@ -193,48 +187,19 @@ def _pool_worker_main(conn) -> None:
             return
         if task is None:
             return
-        from repro.harness.prebuild import PREBUILD
-        from repro.harness.sweep import process_snapshot_store
-        from repro.snapshot import SnapshotStore
-
-        task_id, options, items = task
-        trace_mode = options["trace_mode"]
-        snapshot_store = process_snapshot_store(options.get("snapshot_dir"))
-        warmup_views = options.get("warmup_views")
-        prebuild_before = (PREBUILD.hits, PREBUILD.misses)
-        snap_before = (
-            snapshot_store.stats() if snapshot_store is not None else None
-        )
-        lines = []
-        for cell_data, attempt, kill in items:
-            if kill:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if hang_cell is not None and attempt < hang_attempts:
-                from repro.harness.sweep import Cell
-
-                if Cell.from_dict(cell_data).cell_id == hang_cell:
-                    time.sleep(3600)
-            lines.append(
-                _run_cell_to_line(
-                    (cell_data, trace_mode),
-                    snapshot_store=snapshot_store,
-                    warmup_views=warmup_views,
-                )
+        options, items = task
+        cache: dict = {}
+        pairs = list(
+            execute_cells(
+                chunk_cells(items),
+                options["trace_mode"],
+                snapshot_dir=options["snapshot_dir"],
+                warmup_views=options["warmup_views"],
+                cache=cache,
             )
-        if snapshot_store is not None:
-            after = snapshot_store.stats()
-            snap_delta = {key: after[key] - snap_before[key] for key in after}
-        else:
-            snap_delta = SnapshotStore.empty_stats()
-        stats = {
-            "prebuild": {
-                "hits": PREBUILD.hits - prebuild_before[0],
-                "misses": PREBUILD.misses - prebuild_before[1],
-            },
-            "snapshot": snap_delta,
-        }
+        )
         try:
-            conn.send((task_id, lines, stats))
+            conn.send((pairs, cache))
         except (BrokenPipeError, OSError):
             return
 
@@ -253,37 +218,15 @@ def adaptive_chunksize(todo: int, workers: int) -> int:
 
 
 class _Worker:
-    """Parent-side handle for one supervised worker process."""
+    """Parent-side handle for one supervised worker process (a runner)."""
 
-    __slots__ = ("proc", "conn", "ready", "task", "deadline")
+    __slots__ = ("proc", "conn", "ready", "runner_id")
 
-    def __init__(self, proc, conn) -> None:
+    def __init__(self, proc, conn, runner_id: str) -> None:
         self.proc = proc
         self.conn = conn
         self.ready = False
-        self.task = None
-        self.deadline = None
-
-
-class _CellTask:
-    """Mutable retry state for one cell within one dispatch."""
-
-    __slots__ = ("cell", "attempts", "not_before")
-
-    def __init__(self, cell) -> None:
-        self.cell = cell
-        self.attempts = 0
-        self.not_before = 0.0
-
-
-class _Chunk:
-    """One in-flight dispatch: a task id plus the cell states it carries."""
-
-    __slots__ = ("task_id", "states")
-
-    def __init__(self, task_id: int, states: list) -> None:
-        self.task_id = task_id
-        self.states = states
+        self.runner_id = runner_id
 
 
 class SweepExecutor:
@@ -340,17 +283,13 @@ class SweepExecutor:
         self._ctx = None
         self._workers: list[_Worker] | None = None
         self._closed = False
-        self._next_task_id = 0
+        self._spawned = 0
         self._init_deaths = 0
         self.sweeps_dispatched = 0
         self.cells_dispatched = 0
         self.retries_attempted = 0
         self.cells_quarantined = 0
         self.workers_respawned = 0
-        self._cache = {
-            "prebuild": {"hits": 0, "misses": 0},
-            "snapshot": {"hits": 0, "misses": 0, "saves": 0, "forks": 0},
-        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -371,7 +310,8 @@ class SweepExecutor:
         )
         proc.start()
         child_conn.close()  # the parent's copy; EOF detection needs it gone
-        return _Worker(proc, parent_conn)
+        self._spawned += 1
+        return _Worker(proc, parent_conn, f"worker-{self._spawned}")
 
     def _replace_worker(self, index: int) -> None:
         worker = self._workers[index]
@@ -458,16 +398,6 @@ class SweepExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def cache_stats(self) -> dict:
-        """Cumulative worker-reported cache counters (prebuild + snapshot).
-
-        Aggregated from the per-chunk deltas every worker reply carries;
-        callers that want per-sweep numbers snapshot this before and
-        after a dispatch and subtract.
-        """
-
-        return {tier: dict(counters) for tier, counters in self._cache.items()}
-
     def map_cells(
         self,
         cells,
@@ -475,6 +405,7 @@ class SweepExecutor:
         chunksize: int | None = None,
         snapshot_dir: str | None = None,
         warmup_views: int | None = None,
+        cache: dict | None = None,
     ):
         """Execute ``cells`` on the pool; yield canonical JSONL lines.
 
@@ -486,7 +417,9 @@ class SweepExecutor:
         with 0) picks :func:`adaptive_chunksize`.  ``snapshot_dir``
         turns on the worker-side snapshot tier (see
         :func:`repro.harness.sweep.run_cell`); ``warmup_views`` forces a
-        snapshot boundary for fault-free cells.
+        snapshot boundary for fault-free cells.  ``cache`` (if given)
+        accumulates the prebuild/snapshot counter deltas the workers
+        report.
         """
 
         cells = list(cells)
@@ -498,46 +431,89 @@ class SweepExecutor:
             effective = adaptive_chunksize(len(cells), self.workers)
         self.sweeps_dispatched += 1
         self.cells_dispatched += len(cells)
+        table = LeaseTable(
+            ttl=self.cell_timeout or math.inf,
+            retries=self.retries,
+            backoff_base=self._backoff_base,
+            ttl_per_cell=True,
+        )
+        table.add_cells(cells)
         options = {
             "trace_mode": trace_mode,
             "snapshot_dir": snapshot_dir,
             "warmup_views": warmup_views,
         }
-        return self._supervise(cells, options, effective)
+        return self._supervise(table, options, effective, cache)
 
     # -- supervision ---------------------------------------------------------
 
-    def _supervise(self, cells, options: dict, chunksize: int):
-        """The scheduling loop: assign, collect, heal, retry, quarantine."""
+    def _supervise(self, table: LeaseTable, options: dict, chunksize: int, cache):
+        """The scheduling loop: reap, grant, collect.
 
-        # A previous dispatch abandoned mid-sweep may have left chunks
-        # attached; task ids are monotonic, so clearing the handles makes
-        # any late results from those chunks harmlessly stale.
-        for worker in self._workers:
-            worker.task = None
-            worker.deadline = None
+        Every worker is a runner of ``table``, which makes each decision:
+        a death is :meth:`~LeaseTable.runner_dead`, a timeout is lease
+        expiry, a chunk reply goes through :meth:`~LeaseTable.complete`
+        (a reply to an abandoned earlier dispatch names cells this table
+        does not know, and is dropped), and the table says which failed
+        cells are retried and which are quarantined.
+        """
 
-        queue = deque(_CellTask(cell) for cell in cells)
-        total = len(cells)
-        done = 0
-        while done < total:
-            out: list[str] = []
+        from repro.harness.sweep import (
+            Cell,
+            add_cache_counters,
+            canonical_record,
+            quarantine_record,
+        )
+
+        out: list[str] = []
+
+        def handle(worker: _Worker, message) -> None:
+            if message == _READY:
+                worker.ready = True
+                self._init_deaths = 0
+                return
+            pairs, counters = message
+            if cache is not None:
+                add_cache_counters(cache, counters)
+            for cell_id, line in pairs:
+                if table.complete(cell_id, worker.runner_id) == "committed":
+                    out.append(line)
+
+        def drain(worker: _Worker) -> None:
+            # Complete messages still buffered on a dead pipe.
+            while True:
+                try:
+                    if not worker.conn.poll():
+                        return
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    return
+                handle(worker, message)
+
+        while not table.all_committed:
             now = time.monotonic()
 
-            # Reap dead and timed-out workers; requeue their cells.  The
-            # pipe is drained first so a result that raced ahead of a
-            # death is honoured rather than re-executed.
+            # Reap dead and timed-out workers.  The pipe is drained first
+            # so a result that raced ahead of a death is honoured rather
+            # than re-executed.
             for index, worker in enumerate(self._workers):
-                if not worker.proc.is_alive():
-                    self._drain_conn(worker, out)
-                    if worker.task is not None:
-                        self._fail_chunk(
-                            worker.task,
-                            f"worker died (exit code {worker.proc.exitcode})",
-                            queue, out, now,
-                        )
-                        worker.task = None
-                    elif not worker.ready:
+                runner = worker.runner_id
+                alive = worker.proc.is_alive()
+                if alive:
+                    deadline = table.deadline(runner)
+                    if deadline is None or now < deadline:
+                        continue
+                    if worker.conn.poll():
+                        table.renew(runner, now)  # its reply is already here
+                        continue
+                    worker.proc.kill()
+                    worker.proc.join()
+                drain(worker)
+                if alive:
+                    failed = table.expire(now, runner)
+                    error = f"cell timeout after {self.cell_timeout:.1f}s"
+                else:
+                    if not worker.ready:
                         # Death before the ready handshake means worker
                         # initialization itself is broken; tolerate a
                         # bounded number, then give up loudly instead of
@@ -549,141 +525,43 @@ class SweepExecutor:
                                 f"(last exit code {worker.proc.exitcode}); "
                                 f"giving up after {self._init_deaths} attempts"
                             )
-                    self._replace_worker(index)
-                elif (
-                    worker.task is not None
-                    and worker.deadline is not None
-                    and now >= worker.deadline
-                    and not worker.conn.poll()
-                ):
-                    worker.proc.kill()
-                    worker.proc.join()
-                    self._drain_conn(worker, out)
-                    if worker.task is not None:
-                        self._fail_chunk(
-                            worker.task,
-                            f"cell timeout after {self.cell_timeout:.1f}s",
-                            queue, out, now,
-                        )
-                        worker.task = None
-                    self._replace_worker(index)
+                    failed = table.runner_dead(runner, now)
+                    error = f"worker died (exit code {worker.proc.exitcode})"
+                for cell_id in failed:
+                    attempts = table.quarantined.get(cell_id)
+                    if attempts is None:
+                        self.retries_attempted += 1
+                        continue
+                    self.cells_quarantined += 1
+                    cell = Cell.from_dict(table.items[cell_id])
+                    out.append(canonical_record(quarantine_record(cell, error, attempts)))
+                self._replace_worker(index)
 
-            # Assign work to idle, ready workers.
+            # Grant work to idle, ready workers.
             for worker in self._workers:
-                if worker.task is not None or not worker.ready or not queue:
+                if not worker.ready or table.deadline(worker.runner_id) is not None:
                     continue
-                states = self._next_batch(queue, now, chunksize)
-                if not states:
-                    break  # everything pending is backing off
-                chaos = self.chaos
-                items = [
-                    (
-                        state.cell.to_dict(),
-                        state.attempts,
-                        chaos is not None
-                        and chaos.kills(state.cell.cell_id, state.attempts),
-                    )
-                    for state in states
-                ]
-                chunk = _Chunk(self._next_task_id, states)
-                self._next_task_id += 1
+                granted = table.grant_ids(worker.runner_id, now, chunksize)
+                if not granted:
+                    break  # drained, or everything pending is backing off
+                items = []
+                for cell_id in granted:
+                    attempt = table.lease_of(cell_id).attempts - 1
+                    kill = self.chaos is not None and self.chaos.kills(cell_id, attempt)
+                    items.append((table.items[cell_id], attempt, kill))
                 try:
-                    worker.conn.send((chunk.task_id, options, items))
+                    worker.conn.send((options, items))
                 except (BrokenPipeError, OSError):
-                    queue.extendleft(reversed(states))
-                    continue  # death is reaped on the next iteration
-                worker.task = chunk
-                if self.cell_timeout is not None:
-                    worker.deadline = now + self.cell_timeout * len(states)
+                    table.release(worker.runner_id)  # death is reaped next pass
 
             # Collect results (and ready handshakes).
             by_conn = {worker.conn: worker for worker in self._workers}
             for conn in connection.wait(list(by_conn), timeout=_POLL_INTERVAL):
-                worker = by_conn[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     continue  # death is reaped on the next iteration
-                self._handle_message(worker, message, out)
+                handle(by_conn[conn], message)
 
-            done += len(out)
             yield from out
-
-    def _drain_conn(self, worker: _Worker, out: list[str]) -> None:
-        """Process any complete messages still buffered on a dead pipe."""
-
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                return
-            self._handle_message(worker, message, out)
-
-    def _handle_message(self, worker: _Worker, message, out: list[str]) -> None:
-        """Apply one worker message: ready handshake or chunk result."""
-
-        if message == _READY:
-            worker.ready = True
-            self._init_deaths = 0
-            return
-        task_id, lines, stats = message
-        chunk = worker.task
-        if chunk is None or task_id != chunk.task_id:
-            return  # stale result from an abandoned dispatch
-        worker.task = None
-        worker.deadline = None
-        for tier, counters in stats.items():
-            bucket = self._cache.setdefault(tier, {})
-            for key, value in counters.items():
-                bucket[key] = bucket.get(key, 0) + value
-        out.extend(lines)
-
-    def _fail_chunk(self, chunk: _Chunk, error: str, queue, out: list[str], now: float) -> None:
-        """One attempt failed for every cell in ``chunk``: retry or quarantine.
-
-        Retried cells go to the back of the queue with a deterministic
-        backoff stamp and are later dispatched solo (see
-        :meth:`_next_batch`), so a poisoned cell stops taking hostages.
-        Cells out of retries become canonical ``status: "failed"``
-        records, appended to ``out`` for the caller to yield.
-        """
-
-        from repro.harness.sweep import canonical_record, quarantine_record
-
-        for state in chunk.states:
-            state.attempts += 1
-            if state.attempts > self.retries:
-                self.cells_quarantined += 1
-                out.append(
-                    canonical_record(
-                        quarantine_record(state.cell, error, state.attempts)
-                    )
-                )
-            else:
-                self.retries_attempted += 1
-                state.not_before = now + retry_backoff(
-                    state.cell.cell_id, state.attempts, self._backoff_base
-                )
-                queue.append(state)
-
-    def _next_batch(self, queue, now: float, chunksize: int) -> list:
-        """Pop the next dispatchable batch: fresh cells chunked, retries solo."""
-
-        batch: list[_CellTask] = []
-        deferred: list[_CellTask] = []
-        while queue and len(batch) < chunksize:
-            state = queue.popleft()
-            if state.not_before > now:
-                deferred.append(state)
-                continue
-            if state.attempts > 0:
-                if batch:
-                    deferred.append(state)
-                    continue
-                batch.append(state)
-                break  # retried cells run alone
-            batch.append(state)
-        queue.extend(deferred)
-        return batch
+            out.clear()

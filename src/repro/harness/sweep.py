@@ -461,6 +461,65 @@ def quarantine_record(cell: Cell, error: str, attempts: int) -> dict:
     }
 
 
+def empty_cache_counters() -> dict:
+    """All-zero prebuild + snapshot tier counters (:attr:`SweepOutcome.cache`)."""
+
+    return {"prebuild": {"hits": 0, "misses": 0}, "snapshot": SnapshotStore.empty_stats()}
+
+
+def add_cache_counters(into: dict, delta: dict) -> None:
+    """Add the tier counters of ``delta`` into ``into``, in place."""
+
+    for tier, counters in delta.items():
+        bucket = into.setdefault(tier, {})
+        for key, value in counters.items():
+            bucket[key] = bucket.get(key, 0) + value
+
+
+def execute_cells(
+    cells,
+    trace_mode: str = "bounded",
+    snapshot_dir: str | None = None,
+    warmup_views: int | None = None,
+    cache: dict | None = None,
+):
+    """Run ``cells`` in this process; yield ``(cell_id, line)`` per cell.
+
+    The one in-process cell loop: the serial sweep, every executor
+    worker and the in-process fleet runner all execute through it.  Each
+    line is the cell's :func:`canonical_record`; cells run through
+    :func:`run_cell`, looked up at call time.  ``cells`` is consumed
+    lazily, so an iterator may act right before each cell runs.  The
+    snapshot tier uses the process-cached store for ``snapshot_dir``.
+    ``cache`` (if given) receives the prebuild and snapshot counter
+    deltas accrued while the generator ran, even if it is closed early.
+    """
+
+    snapshot_store = process_snapshot_store(snapshot_dir)
+
+    def counters() -> dict:
+        return {
+            "prebuild": {"hits": PREBUILD.hits, "misses": PREBUILD.misses},
+            "snapshot": snapshot_store.stats() if snapshot_store is not None
+            else SnapshotStore.empty_stats(),
+        }
+
+    before = counters()
+    try:
+        for cell in cells:
+            record = run_cell(
+                cell, trace_mode, snapshot_store=snapshot_store, warmup_views=warmup_views
+            )
+            yield cell.cell_id, canonical_record(record)
+    finally:
+        if cache is not None:
+            after = counters()
+            add_cache_counters(cache, {
+                tier: {key: value - before[tier][key] for key, value in after[tier].items()}
+                for tier in after
+            })
+
+
 def prepare_cell(cell: Cell, trace_mode: str = "bounded"):
     """Build a cell's ready-to-run protocol and its submitted traffic.
 
@@ -962,27 +1021,21 @@ def run_sweep(
 
     fresh: list[dict] = []
 
-    def consume_line(line: str) -> None:
+    def record_line(line: str) -> None:
         record = json.loads(line)
-        if store is not None:
-            store.append_line(line)
         fresh.append(record)
         if progress is not None:
             progress(record)
 
+    def consume_line(line: str) -> None:
+        if store is not None:
+            store.append_line(line)
+        record_line(line)
+
     fleet_counters: dict | None = None
-    cache_counters: dict | None = None
+    cache_counters = None if backend == "fleet" else empty_cache_counters()
     if backend == "fleet":
         from repro.fleet.local import run_fleet_local
-
-        def fleet_commit(line: str) -> None:
-            # The coordinator appends committed lines to the store
-            # itself (first-write-wins under its lock); this callback
-            # only mirrors them into the in-memory outcome.
-            record = json.loads(line)
-            fresh.append(record)
-            if progress is not None:
-                progress(record)
 
         if todo:
             options = dict(fleet_options or {})
@@ -995,50 +1048,30 @@ def run_sweep(
                 store=store,
                 runners=max(1, workers),
                 trace_mode=trace_mode,
-                on_commit=fleet_commit,
+                # The coordinator appends committed lines to the store
+                # itself (first-write-wins under its lock).
+                on_commit=record_line,
                 **options,
             )
             fleet_counters = summary.counters
-    elif executor is not None and todo:
-        before = executor.cache_stats()
-        for line in executor.map_cells(
-            todo, trace_mode, snapshot_dir=snapshot_dir, warmup_views=warmup_views
+    elif executor is None and (workers <= 1 or len(todo) <= 1):
+        for _cell_id, line in execute_cells(
+            todo, trace_mode, snapshot_dir, warmup_views, cache=cache_counters
         ):
             consume_line(line)
-        cache_counters = _cache_delta(before, executor.cache_stats())
-    elif workers <= 1 or len(todo) <= 1:
-        snapshot_store = (
-            SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
-        )
-        prebuild_before = (PREBUILD.hits, PREBUILD.misses)
-        for cell in todo:
-            consume_line(
-                canonical_record(
-                    run_cell(
-                        cell,
-                        trace_mode,
-                        snapshot_store=snapshot_store,
-                        warmup_views=warmup_views,
-                    )
-                )
-            )
-        cache_counters = {
-            "prebuild": {
-                "hits": PREBUILD.hits - prebuild_before[0],
-                "misses": PREBUILD.misses - prebuild_before[1],
-            },
-            "snapshot": snapshot_store.stats() if snapshot_store is not None
-            else SnapshotStore.empty_stats(),
-        }
     else:
         from repro.harness.executor import SweepExecutor
 
-        with SweepExecutor(workers=workers, chunksize=chunksize) as throwaway:
-            for line in throwaway.map_cells(
-                todo, trace_mode, snapshot_dir=snapshot_dir, warmup_views=warmup_views
+        pool = executor or SweepExecutor(workers=workers, chunksize=chunksize)
+        try:
+            for line in pool.map_cells(
+                todo, trace_mode, snapshot_dir=snapshot_dir,
+                warmup_views=warmup_views, cache=cache_counters,
             ):
                 consume_line(line)
-            cache_counters = throwaway.cache_stats()
+        finally:
+            if executor is None:
+                pool.close()
 
     records = {r["cell_id"]: r for r in (store.load() if store is not None else fresh)}
     wanted = {cell.cell_id for cell in cells}
@@ -1053,13 +1086,3 @@ def run_sweep(
         cache=cache_counters,
     )
 
-
-def _cache_delta(before: dict, after: dict) -> dict:
-    """Per-sweep counter deltas from two :meth:`SweepExecutor.cache_stats`."""
-
-    return {
-        tier: {
-            key: after[tier][key] - before[tier][key] for key in after[tier]
-        }
-        for tier in after
-    }

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction
+
+# Property tests depend on their seeds, not on machine speed: no
+# per-example wall-clock deadline, and a fixed example sequence.
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -123,7 +123,7 @@ def run_workload(sim, n, script, split):
 
 
 class TestDeliveryOrderInvariants:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(workloads())
     def test_bucket_and_heap_schedulers_agree_per_recipient(self, data):
         n, script, split = data
@@ -134,7 +134,7 @@ class TestDeliveryOrderInvariants:
         assert bucket_stats.weighted_deliveries == heap_stats.weighted_deliveries
         assert dict(bucket_stats.by_type) == dict(heap_stats.by_type)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(workloads())
     def test_per_recipient_times_nondecreasing(self, data):
         n, script, split = data

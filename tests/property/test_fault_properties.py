@@ -79,7 +79,7 @@ fault_specs = st.builds(
 
 class TestPlanDeterminism:
     @given(fault_specs)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_compile_and_decisions_pure_in_spec(self, spec):
         a = spec.compile(n=10, delta=2, horizon=200)
         b = spec.compile(n=10, delta=2, horizon=200)
@@ -99,7 +99,7 @@ class TestPlanDeterminism:
         assert differing == 8  # 120 Bernoulli samples per stream: collision ~ 0
 
     @given(fault_specs)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_spec_id_roundtrips_with_plan(self, spec):
         assert FaultSpec.from_dict(spec.to_dict()).spec_id == spec.spec_id
 

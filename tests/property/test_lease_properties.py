@@ -17,6 +17,12 @@ byte-identity contract rests on:
 The state partition itself (:meth:`LeaseTable.check_invariants`) is
 asserted after every single operation, so a violation pins the exact
 step that broke it.
+
+With a retry budget and backoff (the local executor's settings) the
+harness also models every failed lease independently and checks that
+each cell ends committed *or* quarantined exactly once, that no cell is
+granted before its backoff stamp, and that a retried cell is always
+granted alone.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.lease import LeaseTable
+from repro.faults import retry_backoff
+from repro.harness.lease import LeaseTable
 
 RUNNERS = ("r0", "r1", "r2")
 
@@ -44,14 +51,30 @@ _op = st.one_of(
 
 
 class _Harness:
-    """Replays drawn ops against a table, tracking commits independently."""
+    """Replays drawn ops against a table, tracking commits independently.
 
-    def __init__(self, cells: int, ttl: float) -> None:
-        self.table = LeaseTable(ttl=ttl)
+    ``retries`` and ``backoff`` configure the table's retry budget and
+    backoff; the harness then also keeps its own model of every cell's
+    failed leases, backoff stamp and quarantine.
+    """
+
+    def __init__(
+        self,
+        cells: int,
+        ttl: float,
+        retries: int | None = None,
+        backoff: float | None = None,
+    ) -> None:
+        self.table = LeaseTable(ttl=ttl, retries=retries, backoff_base=backoff)
         self.table.add_cells({"cell_id": f"c{i}"} for i in range(cells))
         self.cells = [f"c{i}" for i in range(cells)]
+        self.retries = retries
+        self.backoff = backoff
         self.now = 0.0
         self.commits: dict[str, int] = {}
+        self.quarantines: dict[str, int] = {}
+        self.failures: dict[str, int] = {}
+        self.not_before: dict[str, float] = {}
         for runner in RUNNERS:
             self.table.register(runner)
 
@@ -61,20 +84,54 @@ class _Harness:
         if outcome == "committed":
             self.commits[cell_id] = self.commits.get(cell_id, 0) + 1
 
+    def observe(self, step):
+        """Run ``step`` and account for every lease it ended unfulfilled."""
+
+        leases = {cid: self.table.lease_of(cid) for cid in self.cells}
+        committed = dict(self.commits)
+        result = step()
+        for cell_id, lease in leases.items():
+            if lease is None or self.table.lease_of(cell_id) is lease:
+                continue
+            if self.commits.get(cell_id, 0) > committed.get(cell_id, 0):
+                continue  # the lease ended in a commit
+            failures = self.failures.get(cell_id, 0) + 1
+            self.failures[cell_id] = failures
+            out_of_retries = self.retries is not None and failures > self.retries
+            assert (cell_id in self.table.quarantined) == out_of_retries
+            if out_of_retries:
+                assert self.table.quarantined[cell_id] == failures
+                self.quarantines[cell_id] = self.quarantines.get(cell_id, 0) + 1
+            elif self.backoff is not None:
+                self.not_before[cell_id] = self.now + retry_backoff(
+                    cell_id, failures, self.backoff
+                )
+        assert set(self.table.quarantined) == set(self.quarantines)
+        return result
+
+    def grant(self, runner: str, max_cells: int) -> list[dict]:
+        batch = self.observe(lambda: self.table.grant(runner, self.now, max_cells))
+        for payload in batch:
+            cell_id = payload["cell_id"]
+            assert self.now >= self.not_before.get(cell_id, 0.0), "granted while backing off"
+            if self.retries is not None and self.failures.get(cell_id):
+                assert len(batch) == 1, "a retried cell shared its grant"
+        return batch
+
     def apply(self, op: tuple) -> None:
         kind = op[0]
         if kind == "grant":
-            self.table.grant(op[1], self.now, op[2])
+            self.grant(op[1], op[2])
         elif kind == "renew":
             self.table.renew(op[1], self.now)
         elif kind == "advance":
             self.now += op[1]
-            self.table.expire(self.now)
+            self.observe(lambda: self.table.expire(self.now))
         elif kind == "death":
-            self.table.runner_dead(op[1], self.now)
+            self.observe(lambda: self.table.runner_dead(op[1], self.now))
             self.table.register(op[1])  # it may come back later
         elif kind == "deliver":
-            self.deliver(self.cells[op[1] % len(self.cells)], op[2])
+            self.observe(lambda: self.deliver(self.cells[op[1] % len(self.cells)], op[2]))
         elif kind == "redeliver":
             cell_id = self.cells[op[1] % len(self.cells)]
             if cell_id in self.commits:
@@ -89,10 +146,11 @@ class _Harness:
             guard += 1
             assert guard < 10_000, "drain loop did not converge"
             self.now += 0.5
-            batch = self.table.grant("r0", self.now, 4)
+            batch = self.grant("r0", 4)
             if not batch:
-                # Everything uncommitted is leased to someone else; age
-                # those leases out so the drain runner can claim them.
+                # Everything uncommitted is leased to someone else or
+                # backing off; age those leases out so the drain runner
+                # can claim them.
                 self.now += self.table.ttl
                 continue
             for payload in batch:
@@ -100,7 +158,7 @@ class _Harness:
             self.table.check_invariants()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     cells=st.integers(1, 10),
     ttl=st.floats(0.5, 5.0, allow_nan=False),
@@ -123,7 +181,7 @@ def test_interleavings_never_double_commit_and_always_converge(cells, ttl, ops):
     assert harness.table.counters.results_committed == len(harness.cells)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     ttl=st.floats(0.5, 3.0, allow_nan=False),
     deliveries=st.lists(
@@ -152,7 +210,7 @@ def test_duplicate_and_late_delivery_is_at_most_once(ttl, deliveries):
     assert table.counters.duplicates_discarded == len(deliveries) - len(first_seen)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     ttl=st.floats(0.5, 2.0, allow_nan=False),
     kills=st.lists(st.sampled_from(RUNNERS), max_size=6),
@@ -175,3 +233,30 @@ def test_runner_death_never_loses_cells(ttl, kills):
     assert set(table.items) == {f"c{i}" for i in range(8)}
     assert table.committed_count == 0
     assert table.leased_count + table.pending_count == 8
+
+
+@settings(max_examples=200)
+@given(
+    cells=st.integers(1, 10),
+    ttl=st.floats(0.5, 5.0, allow_nan=False),
+    retries=st.integers(0, 3),
+    backoff=st.none() | st.floats(0.01, 2.0, allow_nan=False),
+    ops=st.lists(_op, max_size=60),
+)
+def test_budgeted_interleavings_end_each_cell_exactly_once(cells, ttl, retries, backoff, ops):
+    """Under a retry budget every cell ends committed or quarantined,
+    exactly once; the grant-side rules are checked on every grant."""
+
+    harness = _Harness(cells, ttl, retries=retries, backoff=backoff)
+    for op in ops:
+        harness.apply(op)
+    harness.drain()
+
+    assert set(harness.commits) | set(harness.quarantines) == set(harness.cells)
+    assert not set(harness.commits) & set(harness.quarantines)
+    assert all(count == 1 for count in harness.commits.values())
+    assert all(count == 1 for count in harness.quarantines.values())
+    assert harness.table.all_committed
+    assert harness.table.leased_count == 0
+    assert harness.table.pending_count == 0
+    assert harness.table.counters.results_committed == len(harness.commits)

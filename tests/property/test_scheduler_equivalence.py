@@ -116,14 +116,14 @@ def sparse_schedules(draw):
 
 
 class TestSchedulerEquivalence:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(schedules())
     def test_bucket_matches_heap_event_for_event(self, entries):
         bucket_trace = run_script(Simulator(seed=1), entries)
         heap_trace = run_script(HeapSimulator(seed=1), entries)
         assert bucket_trace == heap_trace
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(sparse_schedules())
     def test_bucket_matches_heap_on_sparse_horizons(self, entries):
         horizon = 2_000_000_000
@@ -131,7 +131,7 @@ class TestSchedulerEquivalence:
         heap_trace = run_script(HeapSimulator(seed=1), entries, horizon=horizon)
         assert bucket_trace == heap_trace
 
-    @settings(max_examples=75, deadline=None)
+    @settings(max_examples=75)
     @given(sparse_schedules())
     def test_counters_agree_on_sparse_horizons(self, entries):
         bucket, heap = Simulator(seed=1), HeapSimulator(seed=1)
@@ -141,7 +141,7 @@ class TestSchedulerEquivalence:
         assert bucket.pending_count() == heap.pending_count()
         assert bucket.now == heap.now
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(schedules())
     def test_counters_agree(self, entries):
         bucket, heap = Simulator(seed=1), HeapSimulator(seed=1)

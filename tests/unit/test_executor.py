@@ -101,6 +101,26 @@ class TestExecutorDispatch:
         bounded = sorted(executor.map_cells(cells, trace_mode="bounded"))
         assert full == bounded  # metrics are retention-independent
 
+    def test_abandoned_dispatch_does_not_leak_into_the_next(self, executor):
+        from repro.harness.sweep import Cell
+
+        def cell(n: int, views: int) -> Cell:
+            return Cell(
+                spec_name="exec-abandon", protocol="tobsvd", n=n, f=0, delta=1,
+                attacker="none", participation="stable", seed_index=0,
+                num_views=views, txs_per_cell=2,
+            )
+
+        # One worker gets the fast cell, the other the slow one; the
+        # dispatch is abandoned after the fast line, so the slow cell's
+        # reply lands while the next dispatch is running.
+        abandoned = executor.map_cells([cell(4, 4), cell(16, 24)], chunksize=1)
+        next(abandoned)
+        abandoned.close()
+        cells = TINY.expand()
+        lines = sorted(executor.map_cells(cells))
+        assert lines == sorted(canonical_record(run_cell(c)) for c in cells)
+
     def test_error_cells_come_back_as_error_records(self, executor):
         from repro.harness.sweep import Cell
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.fleet.coordinator import CoordinatorConfig, FleetCoordinator
 from repro.fleet.runner import FleetRunner
-from repro.fleet.wire import FrameConnection
+from repro.net.framing import FrameConnection
 from repro.harness.sweep import (
     ExperimentSpec,
     ResultStore,

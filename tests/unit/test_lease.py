@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fleet.lease import LeaseTable
+from repro.harness.lease import LeaseTable
 
 
 def make_table(count: int = 4, ttl: float = 10.0) -> LeaseTable:
