@@ -1,25 +1,26 @@
 """The ``python -m repro`` command line.
 
-Ten subcommands front the experiment subsystem:
+Nine subcommands front the experiment subsystem:
 
-* ``run`` — execute one named scenario under a chosen trace-retention
-  policy (``--trace full|bounded|off``, default bounded) and print live
-  streaming-reducer stats (decisions/sec, mean latency so far) while it
-  runs;
+* ``run`` (alias ``scenario``) — execute one named scenario family under
+  a chosen trace-retention policy (``--trace full|bounded|off``, default
+  bounded), print live streaming-reducer stats (decisions/sec, mean
+  latency so far) while it runs, then the summary ``snapshot fork``
+  shares;
 * ``sweep`` — expand a declarative experiment grid (inline flags or a
   JSON spec file) and execute it on a warm worker pool with chunked
   dispatch (``--workers``/``--chunksize``/``--warm``) and resume
   support;
 * ``table1`` — regenerate the paper's Table 1 (paper vs analytic model
   vs measured), ``--smoke`` for a seconds-long CI variant;
-* ``scenario`` — run one named scenario family and print its summary;
 * ``fleet`` — the multi-host sweep fabric: ``fleet coordinate`` serves
   a grid to remote runners over TCP, ``fleet run`` is one runner
   process, and ``fleet local --runners N`` does both on localhost in a
   single command;
 * ``snapshot`` — checkpoint a warmed run at a view boundary
   (``snapshot save``), resume it under divergent continuations
-  (``snapshot fork``), and inspect a store (``snapshot ls``);
+  (``snapshot fork``, the one resume path), and inspect a store
+  (``snapshot ls``);
 * ``bisect`` — binary-search the first view where a predicate fails,
   forking snapshots instead of replaying warm-ups from genesis;
 * ``node`` — ONE protocol node over real TCP against an explicit peer
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -63,6 +65,22 @@ def _parse_list(text: str, cast: Callable = str) -> tuple:
     return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
 
 
+def _load_json_arg(text: str, flag: str):
+    """A JSON flag value: inline JSON, or ``@path`` to a JSON file.
+
+    Unreadable files and malformed JSON exit with one ``error: FLAG: …``
+    line instead of a traceback.
+    """
+
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: {flag}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -76,11 +94,7 @@ def _parse_fault_specs(text: str) -> tuple:
     compactly here and canonicalized by the spec's own validation.
     """
 
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text)
+    data = _load_json_arg(text, "--fault-specs")
     if not isinstance(data, list) or not data:
         raise SystemExit("error: --fault-specs must be a non-empty JSON list")
     entries = []
@@ -221,13 +235,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             chaos=chaos,
         )
         if args.warm:
-            import time as _time
-
-            started = _time.perf_counter()
+            started = time.perf_counter()
             executor.warmup()
             print(
                 f"warmed {args.workers} workers in "
-                f"{_time.perf_counter() - started:.2f}s",
+                f"{time.perf_counter() - started:.2f}s",
                 flush=True,
             )
     try:
@@ -274,16 +286,15 @@ def _parse_fault_spec(text: str):
 
     from repro.faults import FaultSpec
 
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text)
-    return FaultSpec.from_dict(data)
+    data = _load_json_arg(text, "--faults")
+    try:
+        return FaultSpec.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: --faults: {exc}") from None
 
 
-def _build_scenario(args: argparse.Namespace, pool, trace_mode: str = "full"):
-    """Shared family dispatch for the ``run`` and ``scenario`` commands."""
+def _build_scenario(args: argparse.Namespace, pool, trace_mode: str):
+    """Family dispatch shared by ``run``, ``snapshot save`` and ``bisect``."""
 
     from repro.harness import scenarios
 
@@ -329,13 +340,24 @@ def _build_scenario(args: argparse.Namespace, pool, trace_mode: str = "full"):
     return scenarios.bursty_churn_scenario(**common)  # bursty
 
 
-def _submit_anchored_txs(pool, num_views: int, view_ticks: int, prefix: str) -> list:
-    """One transaction right before each view start with room to confirm."""
+def _prepare_run(args: argparse.Namespace, trace_mode: str):
+    """Build the scenario with one watched transaction before each view.
 
-    return [
-        pool.submit(payload=f"{prefix}-{view}", at_time=view * view_ticks - 1)
-        for view in range(1, max(2, num_views - 3))
-    ]
+    ``run`` and ``snapshot save`` share this fixture, so a forked
+    continuation is comparable with an uninterrupted ``run``.
+    """
+
+    from repro.chain.transactions import TransactionPool
+
+    pool = TransactionPool()
+    protocol = _build_scenario(args, pool, trace_mode)
+    view_ticks = protocol.config.time.view_ticks
+    analysis = protocol.observability.analysis
+    for view in range(1, max(2, args.views - 3)):
+        tx = pool.submit(payload=f"run-{view}", at_time=view * view_ticks - 1)
+        if analysis is not None:
+            analysis.watch(tx)
+    return protocol
 
 
 class _LiveReducerStats:
@@ -348,12 +370,10 @@ class _LiveReducerStats:
     """
 
     def __init__(self, analysis, delta: int, every: int) -> None:
-        import time as _time
-
         self._analysis = analysis
         self._delta = delta
         self._every = max(1, every)
-        self._clock = _time.perf_counter
+        self._clock = time.perf_counter
         self._started = self._clock()
         self._next = self._every
 
@@ -397,107 +417,30 @@ def _load_snapshot_ref(ref: str, store_dir: str):
     return snapshot
 
 
-def _report_resumed(protocol, result, elapsed: float) -> int:
-    """Post-run summary for a forked continuation (run/snapshot commands)."""
+def _print_summary(protocol, result, elapsed: float) -> int:
+    """Post-run summary shared by ``run`` and ``snapshot fork``.
+
+    Returns the exit code: 1 when the run decided conflicting logs.
+    """
 
     config = protocol.config
+    bus = protocol.observability.bus
     analysis = protocol.observability.analysis
-    print(f"finished in {elapsed:.2f}s "
-          f"({result.simulator.now} ticks simulated)")
-    stats = result.network.stats
-    print(f"  deliveries:            {stats.weighted_deliveries} weighted")
-    if analysis is None:
-        print("  (tracing off in the saved run: network totals only)")
-        return 0
-    latency = analysis.latency()
-    mean = latency.mean_deltas(config.delta)
-    print(f"  decided blocks:        {analysis.new_blocks}/{config.num_views}")
-    print(f"  safety holds:          {analysis.safety().safe}")
-    faults = analysis.fault_summary()
-    if any(faults.values()):
-        print(f"  injected faults:       {faults['crashes']} crashes, "
-              f"{faults['recoveries']} recoveries, "
-              f"{faults['partitions']} partitions, {faults['heals']} heals")
-    print(f"  confirmed txs:         {latency.samples}")
-    if mean is not None:
-        print(f"  latency mean/min/max:  {mean:.2f}Δ / "
-              f"{latency.min_ticks / config.delta:.2f}Δ / "
-              f"{latency.max_ticks / config.delta:.2f}Δ")
-    return 0 if analysis.safety().safe else 1
-
-
-def _run_from_snapshot(args: argparse.Namespace) -> int:
-    """``repro run --from-snapshot``: resume a saved prefix to the horizon."""
-
-    import time as _time
-
-    from repro.snapshot import SnapshotError, fork
-
-    snapshot = _load_snapshot_ref(args.from_snapshot, args.snapshot_dir)
-    meta = snapshot.meta
-    fault_spec = _parse_fault_spec(args.faults) if args.faults else None
-    try:
-        protocol = fork(
-            snapshot, fault_spec=fault_spec, num_views=args.extend_views
-        )
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"run from snapshot {meta.snapshot_id}: forked at view {meta.view} "
-          f"(t={meta.tick}) n={meta.n} Δ={meta.delta} "
-          f"views={protocol.config.num_views} trace={meta.trace_mode}")
-    started = _time.perf_counter()
-    protocol.advance(protocol.config.horizon)
-    result = protocol.finish()
-    return _report_resumed(
-        protocol, result, max(_time.perf_counter() - started, 1e-9)
-    )
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from repro.chain.transactions import TransactionPool
-
-    if args.from_snapshot:
-        return _run_from_snapshot(args)
-    pool = TransactionPool()
-    protocol = _build_scenario(args, pool, trace_mode=args.trace)
-    observability = protocol.observability
-    analysis = observability.analysis
-    view_ticks = protocol.config.time.view_ticks
-    txs = _submit_anchored_txs(pool, args.views, view_ticks, "run")
-    byz = f"f={args.f} " if args.family == "equivocating" else ""
-    print(f"run {args.family}: n={args.n} {byz}Δ={args.delta} "
-          f"views={args.views} seed={args.seed} trace={args.trace}")
-    if analysis is not None:
-        for tx in txs:
-            analysis.watch(tx)
-        every = args.stats_every if args.stats_every else max(1, args.n * 4)
-        observability.bus.subscribe(
-            _LiveReducerStats(analysis, args.delta, every)
-        )
-    else:
-        print("  (tracing off: no reducer stats, reporting network totals only)")
-
-    started = _time.perf_counter()
-    result = protocol.run()
-    elapsed = max(_time.perf_counter() - started, 1e-9)
-
-    bus = observability.bus
     print(f"finished in {elapsed:.2f}s: {bus.events_emitted} events emitted, "
           f"{bus.retained_events()} retained "
           f"({result.simulator.now} ticks simulated)")
     stats = result.network.stats
     print(f"  deliveries:            {stats.weighted_deliveries} weighted")
     if analysis is None:
+        print("  (tracing off: no reducer stats, network totals only)")
         return 0
     latency = analysis.latency()
-    mean = latency.mean_deltas(args.delta)
-    print(f"  decided blocks:        {analysis.new_blocks}/{args.views}")
+    mean = latency.mean_deltas(config.delta)
+    safe = analysis.safety().safe
+    print(f"  decided blocks:        {analysis.new_blocks}/{config.num_views}")
     print(f"  decisions:             {analysis.decision_count} "
-          f"({analysis.decision_count / elapsed:,.0f}/sec)")
-    print(f"  safety holds:          {analysis.safety().safe}")
+          f"({analysis.decision_count / max(elapsed, 1e-9):,.0f}/sec)")
+    print(f"  safety holds:          {safe}")
     faults = analysis.fault_summary()
     if any(faults.values()):
         print(f"  injected faults:       {faults['crashes']} crashes, "
@@ -505,13 +448,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{faults['partitions']} partitions, {faults['heals']} heals")
     phases = analysis.voting_phases_per_block("tobsvd")
     print(f"  phases per block:      {phases}")
-    print(f"  confirmed txs:         {latency.samples}/{len(txs)}")
+    print(f"  confirmed txs:         "
+          f"{latency.samples}/{latency.samples + latency.pending}")
     if mean is not None:
         print(f"  latency mean/min/max:  {mean:.2f}Δ / "
-              f"{latency.min_ticks / args.delta:.2f}Δ / "
-              f"{latency.max_ticks / args.delta:.2f}Δ")
+              f"{latency.min_ticks / config.delta:.2f}Δ / "
+              f"{latency.max_ticks / config.delta:.2f}Δ")
     print(f"  reducer state entries: {analysis.state_entries()}")
-    return 0 if analysis.safety().safe else 1
+    return 0 if safe else 1
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    protocol = _prepare_run(args, args.trace)
+    observability = protocol.observability
+    # Only the equivocating family actually corrupts validators; echoing
+    # f for the all-honest families would mislabel the run.
+    byz = f"f={args.f} " if args.family == "equivocating" else ""
+    print(f"run {args.family}: n={args.n} {byz}Δ={args.delta} "
+          f"views={args.views} seed={args.seed} trace={args.trace}")
+    if observability.analysis is not None:
+        every = args.stats_every if args.stats_every else max(1, args.n * 4)
+        observability.bus.subscribe(
+            _LiveReducerStats(observability.analysis, args.delta, every)
+        )
+    started = time.perf_counter()
+    result = protocol.run()
+    return _print_summary(protocol, result, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -536,42 +498,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         print(f"shape check FAILED on: {', '.join(failures)}", file=sys.stderr)
         return 1
     print("shape check passed: protocol ordering matches the paper on every metric.")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# scenario
-# ---------------------------------------------------------------------------
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import check_safety, count_new_blocks, voting_phases_per_block
-    from repro.chain.transactions import TransactionPool
-
-    pool = TransactionPool()
-    protocol = _build_scenario(args, pool)  # post-hoc command: full retention
-    view_ticks = protocol.config.time.view_ticks
-    txs = _submit_anchored_txs(pool, args.views, view_ticks, "scn")
-    result = protocol.run()
-    from repro.analysis.latency import confirmation_times_deltas
-
-    confirmed = confirmation_times_deltas(result.trace, txs, args.delta)
-    blocks = count_new_blocks(result.trace)
-    phases = voting_phases_per_block(result.trace, "tobsvd")
-    # Only the equivocating family actually corrupts validators; echoing
-    # f for the all-honest families would mislabel the run.
-    byz = f"f={args.f} " if args.family == "equivocating" else ""
-    print(f"scenario {args.family}: n={args.n} {byz}Δ={args.delta} "
-          f"views={args.views} seed={args.seed}")
-    print(f"  safety holds:          {check_safety(result.trace).safe}")
-    print(f"  decided blocks:        {blocks}/{args.views}")
-    print(f"  phases per block:      {phases}")
-    print(f"  confirmed txs:         {len(confirmed)}/{len(txs)}")
-    if confirmed:
-        from statistics import mean
-
-        print(f"  latency mean/min/max:  {mean(confirmed):.2f}Δ / "
-              f"{min(confirmed):.2f}Δ / {max(confirmed):.2f}Δ")
     return 0
 
 
@@ -605,22 +531,10 @@ def _cli_scenario_key(args: argparse.Namespace, trace_mode: str) -> str:
 def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     """Warm one scenario to a view boundary and store the snapshot."""
 
-    import time as _time
-
-    from repro.chain.transactions import TransactionPool
     from repro.snapshot import SnapshotError, SnapshotStore, warm_snapshot
 
-    pool = TransactionPool()
-    protocol = _build_scenario(args, pool, trace_mode=args.trace)
-    view_ticks = protocol.config.time.view_ticks
-    # Same anchored-transaction fixture as ``repro run``, so a forked
-    # continuation is comparable with an uninterrupted ``run``.
-    txs = _submit_anchored_txs(pool, args.views, view_ticks, "run")
-    analysis = protocol.observability.analysis
-    if analysis is not None:
-        for tx in txs:
-            analysis.watch(tx)
-    started = _time.perf_counter()
+    protocol = _prepare_run(args, args.trace)
+    started = time.perf_counter()
     try:
         snapshot = warm_snapshot(
             protocol, _cli_scenario_key(args, args.trace), args.at_view,
@@ -629,7 +543,7 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     except SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    elapsed = _time.perf_counter() - started
+    elapsed = time.perf_counter() - started
     meta = snapshot.meta
     if args.file:
         Path(args.file).write_bytes(snapshot.to_bytes())
@@ -644,26 +558,31 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_corrupt(text: str) -> dict[int, int]:
+    """``--corrupt`` value: ``VALIDATOR@TICK[,VALIDATOR@TICK...]``."""
+
+    corrupt = {}
+    for part in text.split(","):
+        vid, _, tick = part.strip().partition("@")
+        try:
+            corrupt[int(vid)] = int(tick)
+        except ValueError:
+            raise SystemExit(
+                f"error: --corrupt: bad entry {part.strip()!r} "
+                "(want VALIDATOR@TICK[,VALIDATOR@TICK...])"
+            ) from None
+    return corrupt
+
+
 def _cmd_snapshot_fork(args: argparse.Namespace) -> int:
     """Resume a saved snapshot under continuation overrides."""
-
-    import time as _time
 
     from repro.snapshot import SnapshotError, fork
 
     snapshot = _load_snapshot_ref(args.snapshot, args.dir)
     meta = snapshot.meta
     fault_spec = _parse_fault_spec(args.faults) if args.faults else None
-    corrupt = None
-    if args.corrupt:
-        corrupt = {}
-        for part in args.corrupt.split(","):
-            vid, _, tick = part.strip().partition("@")
-            if not tick:
-                raise SystemExit(
-                    "error: --corrupt wants VALIDATOR@TICK[,VALIDATOR@TICK...]"
-                )
-            corrupt[int(vid)] = int(tick)
+    corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
     try:
         protocol = fork(
             snapshot,
@@ -675,13 +594,12 @@ def _cmd_snapshot_fork(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"fork {meta.snapshot_id}: resumed at view {meta.view} (t={meta.tick}) "
-          f"n={meta.n} Δ={meta.delta} views={protocol.config.num_views}")
-    started = _time.perf_counter()
+          f"n={meta.n} Δ={meta.delta} views={protocol.config.num_views} "
+          f"trace={meta.trace_mode}")
+    started = time.perf_counter()
     protocol.advance(protocol.config.horizon)
     result = protocol.finish()
-    return _report_resumed(
-        protocol, result, max(_time.perf_counter() - started, 1e-9)
-    )
+    return _print_summary(protocol, result, time.perf_counter() - started)
 
 
 def _cmd_snapshot_ls(args: argparse.Namespace) -> int:
@@ -1121,6 +1039,36 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per-cell event retention (bounded keeps "
                             "O(state) memory; metrics are identical either way)")
 
+    def add_snapshot_tier_args(target: argparse.ArgumentParser,
+                               dir_help: str) -> None:
+        """Warm-snapshot cache flags (sweep, fleet run, fleet local)."""
+
+        target.add_argument("--snapshot-dir", default=None, help=dir_help)
+        target.add_argument("--warmup-views", type=int, default=None,
+                            help="force a snapshot boundary this many views "
+                            "in for fault-free tobsvd cells (needs "
+                            "--snapshot-dir)")
+
+    def add_family_args(target: argparse.ArgumentParser,
+                        default_views: int) -> None:
+        """Scenario-shape flags shared by run, snapshot save and bisect."""
+
+        target.add_argument("family", nargs="?", default="stable",
+                            choices=("stable", "equivocating", "churn",
+                                     "late-join", "bursty", "crash",
+                                     "partition"))
+        target.add_argument("--n", type=int, default=8)
+        target.add_argument("--f", type=int, default=3,
+                            help="Byzantine count (equivocating only)")
+        target.add_argument("--views", type=int, default=default_views)
+        target.add_argument("--delta", type=int, default=2)
+        target.add_argument("--seed", type=int, default=0)
+        target.add_argument("--attacker", default="equivocating-proposer",
+                            choices=ATTACKERS)
+        target.add_argument("--faults", default=None, metavar="JSON|@FILE",
+                            help="FaultSpec as inline JSON or @path "
+                            "(stable, crash, and partition families)")
+
     sweep = sub.add_parser("sweep", help="run a declarative experiment grid")
     add_grid_args(sweep)
     sweep.add_argument("--workers", type=int, default=1, help="worker processes")
@@ -1148,92 +1096,29 @@ def build_parser() -> argparse.ArgumentParser:
                        "combine with --retries >= 1)")
     sweep.add_argument("--chaos-seed", type=int, default=0,
                        help="seed for chaos kill decisions")
-    sweep.add_argument("--snapshot-dir", default=None,
-                       help="warm-snapshot store directory (cache tier three: "
-                       "cells sharing a warm-up prefix run it once and fork); "
-                       "records are byte-identical with the tier on or off")
-    sweep.add_argument("--warmup-views", type=int, default=None,
-                       help="force a snapshot boundary this many views in for "
-                       "fault-free tobsvd cells (needs --snapshot-dir)")
+    add_snapshot_tier_args(
+        sweep, "warm-snapshot store directory (cache tier three: cells "
+        "sharing a warm-up prefix run it once and fork); records are "
+        "byte-identical with the tier on or off")
     sweep.set_defaults(func=_cmd_sweep)
 
     run = sub.add_parser(
-        "run",
+        "run", aliases=["scenario"],
         help="execute one scenario with live streaming-reducer stats",
     )
-    run.add_argument("family", nargs="?", default="stable",
-                     choices=("stable", "equivocating", "churn", "late-join",
-                              "bursty", "crash", "partition"))
-    run.add_argument("--n", type=int, default=8)
-    run.add_argument("--f", type=int, default=3,
-                     help="Byzantine count (equivocating only)")
-    run.add_argument("--views", type=int, default=64)
-    run.add_argument("--delta", type=int, default=2)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--attacker", default="equivocating-proposer",
-                     choices=ATTACKERS)
+    add_family_args(run, default_views=64)
     run.add_argument("--trace", choices=("full", "bounded", "off"),
                      default="bounded",
                      help="event retention: full recorder, bounded reducers "
                      "only (default), or no observability at all")
     run.add_argument("--stats-every", type=int, default=0,
                      help="decisions between live stat lines (default 4n)")
-    run.add_argument("--faults", default=None, metavar="JSON|@FILE",
-                     help="FaultSpec as inline JSON or @path to a JSON file "
-                     "(stable, crash, and partition families); compiled "
-                     "deterministically from the spec and seed — with "
-                     "--from-snapshot, applied as a crash-only fork override")
-    run.add_argument("--from-snapshot", default=None, metavar="FILE|ID",
-                     help="skip the warm-up: resume a saved snapshot "
-                     "(a .snap file path, or an id in --snapshot-dir) "
-                     "instead of building the scenario; the family "
-                     "argument is ignored")
-    run.add_argument("--snapshot-dir", default="snapshots",
-                     help="store directory ids given to --from-snapshot "
-                     "resolve against")
-    run.add_argument("--extend-views", type=int, default=None,
-                     help="with --from-snapshot: extend the resumed run's "
-                     "horizon to this many views")
     run.set_defaults(func=_cmd_run)
 
     table1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
     table1.add_argument("--smoke", action="store_true",
                         help="shrunk runs (seconds, CI-suitable)")
     table1.set_defaults(func=_cmd_table1)
-
-    scenario = sub.add_parser("scenario", help="run one scenario family")
-    scenario.add_argument("family",
-                          choices=("stable", "equivocating", "churn", "late-join",
-                                   "bursty", "crash", "partition"))
-    scenario.add_argument("--n", type=int, default=8)
-    scenario.add_argument("--f", type=int, default=3,
-                          help="Byzantine count (equivocating only)")
-    scenario.add_argument("--views", type=int, default=8)
-    scenario.add_argument("--delta", type=int, default=2)
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--attacker", default="equivocating-proposer",
-                          choices=ATTACKERS)
-    scenario.set_defaults(func=_cmd_scenario)
-
-    def add_family_args(target: argparse.ArgumentParser,
-                        default_views: int = 8) -> None:
-        """Scenario-shape flags shared by snapshot save and bisect."""
-
-        target.add_argument("family", nargs="?", default="stable",
-                            choices=("stable", "equivocating", "churn",
-                                     "late-join", "bursty", "crash",
-                                     "partition"))
-        target.add_argument("--n", type=int, default=8)
-        target.add_argument("--f", type=int, default=3,
-                            help="Byzantine count (equivocating only)")
-        target.add_argument("--views", type=int, default=default_views)
-        target.add_argument("--delta", type=int, default=2)
-        target.add_argument("--seed", type=int, default=0)
-        target.add_argument("--attacker", default="equivocating-proposer",
-                            choices=ATTACKERS)
-        target.add_argument("--faults", default=None, metavar="JSON|@FILE",
-                            help="FaultSpec as inline JSON or @path "
-                            "(stable, crash, and partition families)")
 
     snapshot = sub.add_parser(
         "snapshot",
@@ -1345,13 +1230,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--max-cells", type=int, default=0,
                            help="cells per lease request (0 = coordinator's "
                            "advertised batch)")
-    fleet_run.add_argument("--snapshot-dir", default=None,
-                           help="this host's warm-snapshot store; its ids "
-                           "are advertised at register so the coordinator "
-                           "prefers leasing cells they cover")
-    fleet_run.add_argument("--warmup-views", type=int, default=None,
-                           help="force a snapshot boundary for fault-free "
-                           "cells (needs --snapshot-dir)")
+    add_snapshot_tier_args(
+        fleet_run, "this host's warm-snapshot store; its ids are advertised "
+        "at register so the coordinator prefers leasing cells they cover")
     fleet_run.set_defaults(func=_cmd_fleet_run)
 
     local = fleet_sub.add_parser(
@@ -1371,13 +1252,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cells per lease grant")
     local.add_argument("--timeout", type=float, default=None,
                        help="seconds before the fleet run is abandoned")
-    local.add_argument("--snapshot-dir", default=None,
-                       help="shared warm-snapshot store for every runner "
-                       "(cells sharing a warm-up prefix fork instead of "
-                       "replaying it)")
-    local.add_argument("--warmup-views", type=int, default=None,
-                       help="force a snapshot boundary for fault-free "
-                       "cells (needs --snapshot-dir)")
+    add_snapshot_tier_args(
+        local, "shared warm-snapshot store for every runner (cells sharing "
+        "a warm-up prefix fork instead of replaying it)")
     local.set_defaults(func=_cmd_fleet_local)
 
     def add_node_run_args(target: argparse.ArgumentParser) -> None:

@@ -79,9 +79,7 @@ def equivocating_scenario(
     the ½ resilience bound.
     """
 
-    if not 0 <= f < (n + 1) // 2 + (n % 2):
-        raise ValueError("f out of range")
-    if 2 * f >= n:
+    if f < 0 or 2 * f >= n:
         raise ValueError(f"f={f} violates |B| < 1/2 of {n} active validators")
     config = TobSvdConfig(n=n, num_views=num_views, delta=delta, seed=seed)
     corruption = CorruptionPlan.static(frozenset(range(n - f, n)))

@@ -274,3 +274,76 @@ class TestCli:
             "--out", str(tmp_path / "spec.jsonl"), "--list-cells",
         ])
         assert code == 0
+
+    @staticmethod
+    def summary_line(out: str, label: str) -> str:
+        return next(line for line in out.splitlines()
+                    if line.strip().startswith(label))
+
+    def test_snapshot_save_ls_fork_matches_uninterrupted_run(
+        self, tmp_path, capsys
+    ):
+        store = str(tmp_path / "snaps")
+        assert cli.main([
+            "snapshot", "save", "stable", "--n", "8", "--views", "16",
+            "--delta", "2", "--at-view", "6", "--dir", store,
+        ]) == 0
+        saved = capsys.readouterr().out
+        snapshot_id = saved.split()[1]
+        assert cli.main(["snapshot", "ls", "--dir", store]) == 0
+        listing = capsys.readouterr().out
+        assert snapshot_id in listing
+        assert "cli|stable|n=8|delta=2|views=16" in listing
+        assert cli.main([
+            "snapshot", "fork", snapshot_id, "--dir", store,
+            "--extend-views", "20",
+        ]) == 0
+        forked = capsys.readouterr().out
+        assert cli.main(["run", "stable", "--n", "8", "--views", "20",
+                         "--delta", "2"]) == 0
+        uninterrupted = capsys.readouterr().out
+        for label in ("deliveries:", "decided blocks:"):
+            assert self.summary_line(forked, label) == self.summary_line(
+                uninterrupted, label
+            )
+        assert "209760 weighted" in forked
+        assert "20/20" in self.summary_line(forked, "decided blocks:")
+
+    def test_bisect_cli_progress_holds_on_stable_run(self, capsys):
+        assert cli.main(["bisect", "stable", "--n", "8", "--views", "8",
+                         "--delta", "2"]) == 0
+        assert "all 8 views satisfy 'progress'" in capsys.readouterr().out
+
+    def test_deploy_local_cli_matches_oracle(self, tmp_path, capsys):
+        out = tmp_path / "deploy.json"
+        assert cli.main(["deploy", "local", "--n", "4", "--views", "4",
+                         "--delta", "1", "--out", str(out)]) == 0
+        assert "oracle check: byte-identical" in capsys.readouterr().out
+        assert out.is_file()
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["run", "--views", "4", "--faults", "{bad"], "error: --faults:"),
+        (["run", "--views", "4", "--faults", "@TMP/missing.json"],
+         "error: --faults:"),
+        (["run", "--views", "4", "--faults", '{"crash_count": "x"}'],
+         "error: --faults:"),
+        (["sweep", "--fault-specs", "[{bad"], "error: --fault-specs:"),
+        (["snapshot", "fork", "TMP/tiny.snap", "--corrupt", "x@5"],
+         "error: --corrupt"),
+    ], ids=["bad-json", "missing-file", "bad-field-type",
+            "bad-fault-specs", "bad-corrupt-validator"])
+    def test_malformed_input_exits_with_one_error_line(
+        self, tmp_path, argv, prefix
+    ):
+        if argv[0] == "snapshot":
+            assert cli.main([
+                "snapshot", "save", "stable", "--n", "4", "--views", "4",
+                "--delta", "1", "--at-view", "2",
+                "--file", str(tmp_path / "tiny.snap"),
+            ]) == 0
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        message = str(info.value.code)
+        assert message.startswith(prefix)
+        assert "\n" not in message
