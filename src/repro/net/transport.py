@@ -38,7 +38,8 @@ from collections import deque
 from typing import Callable, Iterable, Protocol
 
 from repro.faults import retry_backoff
-from repro.net.framing import FrameConnection, WireError
+from repro.net import framing
+from repro.net.framing import FrameConnection, WireError, send_frame_bytes
 
 #: Default ceiling on one link's send queue.  Lockstep pacing bounds
 #: in-flight traffic to a few frames per peer per tick, so this is never
@@ -46,6 +47,10 @@ from repro.net.framing import FrameConnection, WireError
 #: degrades by shedding its oldest frames instead of growing without
 #: bound (the resync path recovers whatever a rejoining peer missed).
 DEFAULT_QUEUE_CAP = 4096
+
+
+#: The idle-link heartbeat, encoded once.
+_HEARTBEAT = framing.encode_frame({"t": "hb"})
 
 
 def reconnect_delay(
@@ -73,7 +78,10 @@ class Transport(Protocol):
         ...
 
     def send(self, peer_id: int, message: dict) -> None:
-        """Queue one message for ``peer_id`` (non-blocking, best-effort)."""
+        """Queue one message for ``peer_id`` (non-blocking, best-effort).
+
+        A message the framing refuses raises here, never later.
+        """
         ...
 
     def receive(self, timeout: float | None = None) -> tuple[int, dict] | None:
@@ -155,11 +163,16 @@ class MemoryTransport:
 class _PeerLink:
     """Supervisor for one outbound (dialer-side) link.
 
-    Owns a bounded send deque and a daemon thread that dials, identifies
-    itself (HELLO), drains the deque, emits heartbeats when idle, and on
-    any link failure reconnects under :func:`reconnect_delay`.  The head
-    frame is only popped after a successful send, so a failure mid-drain
-    resends it on the next connection (at-least-once).
+    Owns a bounded deque of encoded frames and a daemon thread that
+    dials, identifies itself (HELLO), drains the deque, emits heartbeats
+    when idle, and on any link failure reconnects under
+    :func:`reconnect_delay`.  The head frame is only popped after a
+    successful send, so a failure mid-drain resends it on the next
+    connection (at-least-once).  Messages are encoded by
+    :meth:`enqueue`, on the caller's thread: a message the framing
+    refuses (:class:`~repro.net.framing.FrameTooLargeError`) raises
+    there and never enters the queue, where it would fail every
+    reconnect and wedge the frames behind it.
     """
 
     def __init__(
@@ -182,7 +195,7 @@ class _PeerLink:
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
         self._connect_timeout = connect_timeout
-        self._deque: deque[dict] = deque()
+        self._deque: deque[bytes] = deque()
         self._cond = threading.Condition()
         self._closed = False
         self._inflight = False
@@ -194,13 +207,14 @@ class _PeerLink:
         self._thread.start()
 
     def enqueue(self, message: dict) -> None:
+        frame = framing.encode_frame(message)
         with self._cond:
             if self._closed:
                 return
             if len(self._deque) >= self._queue_cap:
                 self._deque.popleft()
                 self.drops += 1
-            self._deque.append(message)
+            self._deque.append(frame)
             self._cond.notify_all()
 
     def flush(self, deadline: float) -> bool:
@@ -221,24 +235,24 @@ class _PeerLink:
 
     def _run(self) -> None:
         attempt = 0
+        hello = framing.encode_frame({"t": "hello", "node": self._owner_id})
         while not self._closed:
-            conn: FrameConnection | None = None
+            sock: socket.socket | None = None
             try:
                 sock = socket.create_connection(
                     self._address, timeout=self._connect_timeout
                 )
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.settimeout(None)
-                conn = FrameConnection(sock)
-                conn.send({"t": "hello", "node": self._owner_id})
+                send_frame_bytes(sock.send, hello)
                 attempt = 0
-                self._drain(conn)
+                self._drain(sock)
                 return  # only a clean close() exits the drain loop
             except (WireError, OSError):
                 pass
             finally:
-                if conn is not None:
-                    conn.close()
+                if sock is not None:
+                    sock.close()
             if self._closed:
                 return
             attempt += 1
@@ -253,7 +267,7 @@ class _PeerLink:
                 )
             )
 
-    def _drain(self, conn: FrameConnection) -> None:
+    def _drain(self, sock: socket.socket) -> None:
         while True:
             with self._cond:
                 if self._closed:
@@ -266,10 +280,10 @@ class _PeerLink:
                 if head is not None:
                     self._inflight = True
             if head is None:
-                conn.send({"t": "hb"})
+                send_frame_bytes(sock.send, _HEARTBEAT)
                 continue
             try:
-                conn.send(head)
+                send_frame_bytes(sock.send, head)
             except BaseException:
                 with self._cond:
                     self._inflight = False
@@ -359,6 +373,8 @@ class TcpTransport:
         return tuple(self._links)
 
     def send(self, peer_id: int, message: dict) -> None:
+        """Encode and queue one message; an over-limit one raises here."""
+
         link = self._links.get(peer_id)
         if link is not None:
             link.enqueue(message)

@@ -7,7 +7,8 @@ Three entry points:
   validator's decision records.  This is the byte-comparison baseline.
 * :func:`run_memory_cluster` — ``n`` runtimes over one
   :class:`~repro.net.transport.MemoryHub`, driven round-robin in one
-  process.  Single-threaded and fully deterministic: the fast
+  process (:func:`drive_memory_cluster` returns the runtimes
+  themselves).  Single-threaded and fully deterministic: the fast
   equivalence tests and the loopback benchmark live here.
 * :func:`run_local_deployment` — ``n`` OS processes over loopback TCP
   (:class:`~repro.net.transport.TcpTransport`), one per node, monitored
@@ -114,16 +115,33 @@ def compile_deployment_plan(
 def run_memory_cluster(
     config: TobSvdConfig,
     fault_plan: FaultPlan | None = None,
+    **kwargs,
+) -> dict[int, dict]:
+    """Run ``n`` runtimes round-robin over one in-process hub; their results.
+
+    Keyword arguments are those of :func:`drive_memory_cluster`.
+    """
+
+    return {
+        runtime.node_id: runtime.result()
+        for runtime in drive_memory_cluster(config, fault_plan, **kwargs)
+    }
+
+
+def drive_memory_cluster(
+    config: TobSvdConfig,
+    fault_plan: FaultPlan | None = None,
     *,
     validator_factory=None,
     horizon: int | None = None,
     max_rounds: int = 1_000_000,
-) -> dict[int, dict]:
-    """Run ``n`` runtimes round-robin over one in-process hub.
+) -> list[NodeRuntime]:
+    """Drive ``n`` runtimes round-robin over one hub to the horizon.
 
     Deterministic: no threads, no wall clock.  ``max_rounds`` bounds the
     driver against a (buggy) barrier deadlock — with every node in one
-    process there is no legitimate way to stall.
+    process there is no legitimate way to stall.  Returns the finished
+    runtimes, still attached to the hub.
     """
 
     hub = MemoryHub(range(config.n))
@@ -147,8 +165,10 @@ def run_memory_cluster(
             if not runtime.finished and runtime.step():
                 progressed = True
         if all(runtime.finished for runtime in runtimes):
-            return {runtime.node_id: runtime.result() for runtime in runtimes}
-        if not progressed:
+            return runtimes
+        # A round may only exchange messages (a resync request and its
+        # answer); the cluster is stuck when no tick ran and none is queued.
+        if not progressed and not any(hub.inbox(vid) for vid in hub.node_ids()):
             stuck = {r.node_id: (r.tick, dict(r.done)) for r in runtimes if not r.finished}
             raise RuntimeError(f"memory cluster deadlocked: {stuck}")
     raise RuntimeError("memory cluster exceeded max_rounds")

@@ -42,9 +42,21 @@ retained envelope from its peers, replays from genesis with the
 validator asleep over the window (transmission suppressed below the wake
 tick — peers already have those frames), and re-enters the quorum at the
 wake tick with byte-identical state to the sim's crashed-then-woken
-validator.  Every node retains each envelope's wire record at its
-minimum delivery tick, so any single live peer's retention is a
-sufficient resync source.
+validator.  Every node retains each envelope at its minimum delivery
+tick, so any single live peer's retention is a sufficient resync source.
+
+**Delta frames.**  Logs travel as a known base plus the new suffix
+(:mod:`repro.node.codec`).  A node tracks the block ids it has put into
+outbound ``env`` frames and encodes each log against them; FIFO links
+mean every peer has ingested those earlier frames, and the one peer a
+forward skips is the envelope's signer, which noted its own log when it
+sent it.  A frame whose base the node does not hold (after a SIGKILL
+rejoin, a reconnect or a shed frame) is parked, never dropped: the node
+asks that peer for one history resync and retries parked frames as new
+logs are noted.  The barrier treats a peer as not done while a resync
+asked of it has not landed, or while it has parked frames due at or
+before the tick about to run.  A resync stream is encoded against a
+known-set of its own, so a fresh process resolves it in order.
 """
 
 from __future__ import annotations
@@ -63,7 +75,7 @@ from repro.faults import FaultPlan
 from repro.net.messages import Envelope
 from repro.net.network import MessageStats
 from repro.net.transport import Transport
-from repro.node.codec import CodecError, decode_envelope, encode_envelope
+from repro.node.codec import CodecError, Unresolved, decode_envelope, encode_envelope
 from repro.node.failure import FailureDetector
 from repro.node.holdback import HoldbackQueue
 from repro.runctx import RunContext
@@ -73,8 +85,9 @@ from repro.tracebus import build_observability
 _CONTROL = EventPriority.CONTROL
 _DELIVERY = EventPriority.DELIVERY
 
-#: Retention records per resync frame; keeps any one frame far below
-#: MAX_FRAME_BYTES even with log-bearing envelopes late in a run.
+#: Retention records per resync frame.  A resync stream ships each block
+#: once (records are deltas against the stream's earlier records), so a
+#: chunk costs a few hundred bytes per record whatever the chain length.
 RESYNC_CHUNK = 500
 
 
@@ -232,8 +245,14 @@ class NodeRuntime:
             self.observability.bus,
         )
         self.holdback = HoldbackQueue()
-        #: envelope id -> [min deliver tick, wire dict]; the resync source.
+        #: envelope id -> [min deliver tick, Envelope]; the resync source.
         self.retention: dict[str, list] = {}
+        #: Block ids this node has put into outbound ``env`` frames.
+        self._shipped: set[str] = set()
+        #: base tip id -> [(peer, wire, deliver tick)] awaiting that base.
+        self.parked: dict[str, list] = {}
+        #: Peers with a resync request outstanding.
+        self._resync_wait: set[int] = set()
         self.fault_plan = fault_plan
         self.crash_window = (
             fault_plan.crash_window_for(node_id) if fault_plan is not None else None
@@ -286,7 +305,7 @@ class NodeRuntime:
         self.validator.setup()
         if self.resumed:
             for peer in self.transport.peer_ids():
-                self.transport.send(peer, {"t": "resync_req"})
+                self._request_resync(peer)
 
     def _go_asleep(self) -> None:
         self.validator.awake = False
@@ -302,21 +321,44 @@ class NodeRuntime:
     def transmit(self, envelope: Envelope, deliver_tick: int, skip_signer: bool) -> None:
         """Ship one envelope to every peer (called by :class:`NodeNetwork`)."""
 
-        wire = encode_envelope(envelope)
-        self._retain(envelope.envelope_id, deliver_tick, wire)
+        self._retain(envelope, deliver_tick)
+        log = getattr(envelope.payload, "log", None)
+        if log is not None:
+            self._note_own(log)
+            if self.parked:
+                self._retry_parked()
         if self.tick < self._suppress_below:
             return
-        frame = {"t": "env", "at": deliver_tick, "env": wire}
+        frame = {
+            "t": "env",
+            "at": deliver_tick,
+            "env": encode_envelope(envelope, self._shipped),
+        }
         signer = envelope.signature.signer
         for peer in self.transport.peer_ids():
             if skip_signer and peer == signer:
                 continue
             self.transport.send(peer, frame)
 
-    def _retain(self, envelope_id: str, deliver_tick: int, wire: dict) -> None:
-        known = self.retention.get(envelope_id)
+    def _note_own(self, log) -> None:
+        """Note an outgoing log and its unnoted prefixes in the lineage.
+
+        A peer forwarding this node's envelope skips this node, yet may
+        later use any prefix of its log as a base.
+        """
+
+        lineage = self.network.run_context.lineage
+        while lineage.by_tip(log.tip.block_id) is None:
+            lineage.note(log)
+            if len(log) == 1:
+                return
+            parent = log._parent
+            log = parent if parent is not None else log.prefix(len(log) - 1)
+
+    def _retain(self, envelope: Envelope, deliver_tick: int) -> None:
+        known = self.retention.get(envelope.envelope_id)
         if known is None:
-            self.retention[envelope_id] = [deliver_tick, wire]
+            self.retention[envelope.envelope_id] = [deliver_tick, envelope]
         elif deliver_tick < known[0]:
             known[0] = deliver_tick
 
@@ -325,7 +367,7 @@ class NodeRuntime:
     def _handle_message(self, peer: int, message: dict) -> None:
         kind = message.get("t")
         if kind == "env":
-            self._ingest(message.get("env"), message.get("at"))
+            self._ingest(peer, message.get("env"), message.get("at"))
         elif kind == "done":
             tick = message.get("at", -1)
             if isinstance(tick, int) and tick > self.done.get(peer, -1):
@@ -334,35 +376,67 @@ class NodeRuntime:
             self._serve_resync(peer)
         elif kind == "resync":
             for record in message.get("records", ()):
-                self._ingest(record[1], record[0])
+                self._ingest(peer, record[1], record[0])
             # The frontier is only trusted on the final chunk: records on
             # the same FIFO link may still be in flight for earlier
             # chunks, and the barrier must not open before they land.
             if message.get("last"):
+                self._resync_wait.discard(peer)
                 frontier = message.get("frontier", -1)
                 if isinstance(frontier, int) and frontier > self.done.get(peer, -1):
                     self.done[peer] = frontier
 
-    def _ingest(self, wire: dict, deliver_tick: int) -> None:
+    def _ingest(self, peer: int, wire: dict, deliver_tick: int) -> None:
+        if self._accept(peer, wire, deliver_tick) and self.parked:
+            self._retry_parked()
+
+    def _accept(self, peer: int, wire: dict, deliver_tick: int) -> bool:
+        """Decode, verify and hold back one wire envelope; True iff it did."""
+
         if not isinstance(wire, dict) or not isinstance(deliver_tick, int):
             self.codec_rejects += 1
-            return
+            return False
         try:
-            envelope = decode_envelope(wire)
+            envelope = decode_envelope(wire, self.network.run_context.lineage)
+            if isinstance(envelope, Unresolved):
+                self.parked.setdefault(envelope.base, []).append(
+                    (peer, wire, deliver_tick)
+                )
+                if peer not in self._resync_wait:
+                    self._request_resync(peer)
+                return False
             self.registry.require_valid(
                 envelope.signature, envelope.payload.digest()
             )
         except (CodecError, SignatureError, KeyError):
             self.codec_rejects += 1
-            return
+            return False
         self.holdback.offer(envelope, deliver_tick)
-        self._retain(envelope.envelope_id, deliver_tick, wire)
+        self._retain(envelope, deliver_tick)
+        return True
+
+    def _retry_parked(self) -> None:
+        """Re-ingest every parked frame whose base is now noted."""
+
+        by_tip = self.network.run_context.lineage.by_tip
+        while True:
+            ready = [base for base in self.parked if by_tip(base) is not None]
+            if not ready:
+                return
+            for base in ready:
+                for entry in self.parked.pop(base):
+                    self._accept(*entry)
+
+    def _request_resync(self, peer: int) -> None:
+        self._resync_wait.add(peer)
+        self.transport.send(peer, {"t": "resync_req"})
 
     def _serve_resync(self, peer: int) -> None:
         records = sorted(
             (tick, envelope_id)
             for envelope_id, (tick, _) in self.retention.items()
         )
+        known: set[str] = set()  # this stream's own: the peer may be fresh
         total = max(len(records), 1)
         for offset in range(0, total, RESYNC_CHUNK):
             chunk = records[offset : offset + RESYNC_CHUNK]
@@ -370,7 +444,7 @@ class NodeRuntime:
                 "t": "resync",
                 "frontier": self.frontier,
                 "records": [
-                    [tick, self.retention[envelope_id][1]]
+                    [tick, encode_envelope(self.retention[envelope_id][1], known)]
                     for tick, envelope_id in chunk
                 ],
             }
@@ -397,10 +471,16 @@ class NodeRuntime:
         target = tick - 1
         if target < 0:
             return True
-        blocked = [
+        blocked = {
             peer for peer, done in self.done.items()
             if done < target and not self._plan_asleep(peer, target)
-        ]
+        }
+        # Done markers only count once a resync asked of the peer has
+        # landed (markers queued before it do not cover frames a dead
+        # process lost), and a parked frame due by this tick must land.
+        blocked |= self._resync_wait
+        for entries in self.parked.values():
+            blocked.update(peer for peer, _, at in entries if at <= tick)
         if not blocked:
             return True
         if self.detector is None:

@@ -3,7 +3,9 @@
 Every digest in the system is derived from serialized fields, so the
 codec's contract is strong: a decoded envelope re-derives the *same*
 ``envelope_id``, its signature still verifies, and a forged or corrupt
-frame fails typed — never half-decodes.
+frame fails typed — never half-decodes.  Logs travel as a known base
+plus the new suffix, resolved against the receiver's lineage store; an
+unknown base is reported, not rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from repro.net.messages import (
     StructuralVote,
     VoteMessage,
 )
-from repro.node.codec import CodecError, decode_envelope, encode_envelope
+from repro.node.codec import (
+    CodecError,
+    Unresolved,
+    decode_envelope,
+    encode_envelope,
+    encode_log,
+)
+from repro.runctx import LineageStore
 
 
 REGISTRY = KeyRegistry(4, seed=0)
@@ -46,10 +55,14 @@ def sample_log() -> Log:
     )
 
 
-def roundtrip(envelope: Envelope) -> Envelope:
+def over_json(wire: dict) -> dict:
     # Through actual JSON text, as the wire does — not just dict identity.
-    wire = json.loads(json.dumps(encode_envelope(envelope), sort_keys=True))
-    return decode_envelope(wire)
+    return json.loads(json.dumps(wire, sort_keys=True))
+
+
+def roundtrip(envelope: Envelope) -> Envelope:
+    # Nothing known on either side: the log ships whole, against genesis.
+    return decode_envelope(over_json(encode_envelope(envelope, set())), LineageStore())
 
 
 PAYLOADS = [
@@ -93,30 +106,129 @@ class TestRoundtrip:
 
 class TestRejection:
     def test_tampered_payload_fails_signature_check(self):
-        wire = encode_envelope(sign(LogMessage(ga_key=("tobsvd", 0), log=sample_log())))
+        wire = encode_envelope(sign(LogMessage(ga_key=("tobsvd", 0), log=sample_log())), set())
         wire["payload"]["ga_key"] = ["tobsvd", 1]  # re-derives a new digest
-        decoded = decode_envelope(wire)
+        decoded = decode_envelope(wire, LineageStore())
         with pytest.raises(SignatureError):
             REGISTRY.require_valid(decoded.signature, decoded.payload.digest())
 
     def test_unknown_kind_is_a_codec_error(self):
-        wire = encode_envelope(sign(RecoveryMessage(requested_at=1)))
+        wire = encode_envelope(sign(RecoveryMessage(requested_at=1)), set())
         wire["payload"]["kind"] = "warp"
         with pytest.raises(CodecError):
-            decode_envelope(wire)
+            decode_envelope(wire, LineageStore())
 
     def test_missing_fields_are_a_codec_error(self):
-        wire = encode_envelope(sign(RecoveryMessage(requested_at=1)))
+        wire = encode_envelope(sign(RecoveryMessage(requested_at=1)), set())
         del wire["sig"]
         with pytest.raises(CodecError):
-            decode_envelope(wire)
+            decode_envelope(wire, LineageStore())
 
     def test_broken_parent_link_is_a_codec_error(self):
-        wire = encode_envelope(sign(LogMessage(ga_key=("tobsvd", 0), log=sample_log())))
-        wire["payload"]["log"][1]["parent"] = "ff" * 32
+        wire = encode_envelope(sign(LogMessage(ga_key=("tobsvd", 0), log=sample_log())), set())
+        wire["payload"]["log"]["blocks"][1]["parent"] = "ff" * 32
         with pytest.raises(CodecError):
-            decode_envelope(wire)
+            decode_envelope(wire, LineageStore())
 
     def test_non_dict_input_is_a_codec_error(self):
         with pytest.raises(CodecError):
-            decode_envelope({"payload": "nope", "sig": {}})
+            decode_envelope({"payload": "nope", "sig": {}}, LineageStore())
+
+
+def extend(log: Log, count: int, view: int = 2) -> Log:
+    for offset in range(count):
+        log = log.append_block(
+            (Transaction(tx_id=100 + view + offset, payload="x", submitted_at=view),),
+            proposer=offset % 4,
+            view=view + offset,
+        )
+    return log
+
+
+def decode_log_wire(wire: dict, lineage: LineageStore) -> Log:
+    """Decode one wire log through a LOG envelope (the public path)."""
+
+    envelope = sign(LogMessage(ga_key=("tobsvd", 0), log=Log.genesis()))
+    data = encode_envelope(envelope, set())
+    data["payload"]["log"] = wire
+    decoded = decode_envelope(data, lineage)
+    if isinstance(decoded, Unresolved):
+        return decoded
+    return decoded.payload.log
+
+
+class TestDelta:
+    """A log ships as a known base plus the suffix the receiver lacks."""
+
+    def test_roundtrip_against_a_lineage_store(self):
+        known: set[str] = set()
+        lineage = LineageStore()
+        first = sample_log()
+        assert decode_log_wire(encode_log(first, known), lineage) == first
+        longer = extend(first, 3)
+        wire = over_json(encode_log(longer, known))
+        assert wire["base"] == first.tip.block_id and wire["base_len"] == len(first)
+        assert len(wire["blocks"]) == 3
+        decoded = decode_log_wire(wire, lineage)
+        assert decoded.log_id == longer.log_id
+        # Every prefix on the way is now a resolvable base.
+        for length in range(1, len(longer) + 1):
+            assert lineage.by_tip(longer.prefix(length).tip.block_id) is not None
+
+    def test_known_prefix_is_a_base_too(self):
+        known: set[str] = set()
+        lineage = LineageStore()
+        longer = extend(sample_log(), 3)
+        decode_log_wire(encode_log(longer, known), lineage)
+        wire = encode_log(longer.prefix(4), known)
+        assert wire["blocks"] == [] and wire["base_len"] == 4
+        assert decode_log_wire(wire, lineage) == longer.prefix(4)
+
+    def test_empty_suffix_resolves_to_the_shared_instance(self):
+        known: set[str] = set()
+        lineage = LineageStore()
+        log = sample_log()
+        first = decode_log_wire(encode_log(log, known), lineage)
+        again = encode_log(log, known)
+        assert again["blocks"] == []
+        assert again["base"] == log.tip.block_id and again["base_len"] == len(log)
+        assert decode_log_wire(again, lineage) is first
+
+    def test_envelope_roundtrips_as_a_delta(self):
+        known: set[str] = set()
+        lineage = LineageStore()
+        base = sign(LogMessage(ga_key=("tobsvd", 1), log=sample_log()))
+        decode_envelope(over_json(encode_envelope(base, known)), lineage)
+        original = sign(ProposalMessage(view=4, log=extend(sample_log(), 1), vrf=VRF(seed=0).evaluate(1, 4)))
+        wire = over_json(encode_envelope(original, known))
+        assert len(wire["payload"]["log"]["blocks"]) == 1
+        decoded = decode_envelope(wire, lineage)
+        assert decoded.envelope_id == original.envelope_id
+        REGISTRY.require_valid(decoded.signature, decoded.payload.digest())
+
+    def test_base_length_mismatch_is_a_codec_error(self):
+        known: set[str] = set()
+        lineage = LineageStore()
+        decode_log_wire(encode_log(sample_log(), known), lineage)
+        wire = encode_log(extend(sample_log(), 1), known)
+        wire["base_len"] += 1
+        with pytest.raises(CodecError):
+            decode_log_wire(wire, lineage)
+
+    def test_broken_link_at_the_suffix_boundary_is_a_codec_error(self):
+        known: set[str] = set()
+        lineage = LineageStore()
+        decode_log_wire(encode_log(sample_log(), known), lineage)
+        wire = encode_log(extend(sample_log(), 2), known)
+        # The first suffix block must extend the base tip.
+        wire["blocks"][0]["parent"] = sample_log().prefix(2).tip.block_id
+        with pytest.raises(CodecError):
+            decode_log_wire(wire, lineage)
+
+    def test_unknown_base_is_unresolved_not_an_error(self):
+        known = {sample_log().tip.block_id}  # the sender believes it shipped this
+        log = extend(sample_log(), 1)
+        envelope = sign(LogMessage(ga_key=("tobsvd", 2), log=log))
+        result = decode_envelope(over_json(encode_envelope(envelope, known)), LineageStore())
+        assert result == Unresolved(base=sample_log().tip.block_id)
+

@@ -4,19 +4,26 @@ The reconnect schedule is part of the deterministic record — it must be
 a pure function of link identity and attempt, mirroring the sweep's
 ``retry_backoff`` scheme exactly.  The in-process hub must be a strict
 FIFO per link, because the runtime's barrier correctness rides on it.
+A socket link encodes on the sender's thread, so a message the framing
+refuses fails at ``send`` instead of wedging the link.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.faults import retry_backoff
+from repro.net.framing import MAX_FRAME_BYTES, FrameTooLargeError
 from repro.net.transport import (
     DEFAULT_QUEUE_CAP,
     MemoryHub,
+    TcpTransport,
     _PeerLink,
     reconnect_delay,
 )
+from repro.node.deploy import allocate_loopback_ports
 
 
 class TestReconnectDelay:
@@ -96,7 +103,8 @@ class TestBoundedLinkQueue:
             for i in range(5):
                 link.enqueue({"i": i})
             with link._cond:
-                kept = [frame["i"] for frame in link._deque]
+                # The queue holds encoded frames: 4-byte length + JSON.
+                kept = [json.loads(frame[4:])["i"] for frame in link._deque]
             assert kept == [2, 3, 4]
             assert link.drops == 2
         finally:
@@ -107,3 +115,23 @@ class TestBoundedLinkQueue:
         link.close()
         link.enqueue({"i": 0})
         assert len(link._deque) == 0
+
+
+class TestOversizedFrame:
+    def test_oversized_message_raises_at_send_and_the_link_stays_live(self):
+        addresses = allocate_loopback_ports(2)
+        sender = TcpTransport(0, addresses)
+        receiver = TcpTransport(1, addresses)
+        try:
+            with pytest.raises(FrameTooLargeError):
+                sender.send(1, {"t": "big", "blob": "x" * MAX_FRAME_BYTES})
+            sender.send(1, {"t": "small", "i": 1})
+            got = None
+            for _ in range(100):
+                got = receiver.receive(timeout=0.1)
+                if got is not None:
+                    break
+            assert got == (0, {"t": "small", "i": 1})
+        finally:
+            sender.close()
+            receiver.close()
