@@ -19,19 +19,25 @@ Two backends:
   (:mod:`repro.net.framing`).  Robustness lives here: one supervisor
   thread per outbound link with deterministic-jitter exponential
   reconnect backoff (the PR 6 ``retry_backoff`` scheme, keyed by link),
-  heartbeat emission on idle links, bounded send queues with drop-oldest
-  backpressure, and per-frame read deadlines so a stalled peer reclaims
-  its reader thread instead of parking it forever.
+  heartbeats on quiet links, and bounded send queues with drop-oldest
+  backpressure.  The message path itself uses no thread: a sender
+  writes on its own thread without blocking, a batch from
+  :meth:`~TcpTransport.send_all` is one write, and the receiver reads
+  (and heartbeats) in :meth:`~TcpTransport.receive` — so a lockstep
+  tick costs each node one wake-up, not several hand-offs between
+  threads, and no thread wakes on a timer.
 
-A reconnecting link resends its possibly-delivered head frame — that is
-the at-least-once contract, made idempotent by the holdback layer's
-envelope-id dedup.
+A reconnecting link resends the frames it had not finished writing —
+that is the at-least-once contract, made idempotent by the holdback
+layer's envelope-id dedup.
 """
 
 from __future__ import annotations
 
-import queue
+import io
+import selectors
 import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -39,7 +45,7 @@ from typing import Callable, Iterable, Protocol
 
 from repro.faults import retry_backoff
 from repro.net import framing
-from repro.net.framing import FrameConnection, WireError, send_frame_bytes
+from repro.net.framing import WireError, send_frame_bytes
 
 #: Default ceiling on one link's send queue.  Lockstep pacing bounds
 #: in-flight traffic to a few frames per peer per tick, so this is never
@@ -51,6 +57,11 @@ DEFAULT_QUEUE_CAP = 4096
 
 #: The idle-link heartbeat, encoded once.
 _HEARTBEAT = framing.encode_frame({"t": "hb"})
+
+#: A frame's length prefix (see :mod:`repro.net.framing`).
+_FRAME_HEADER = struct.Struct(">I")
+#: Bytes asked of one inbound ``recv``.
+_RECV_BYTES = 1 << 16
 
 
 def reconnect_delay(
@@ -82,6 +93,10 @@ class Transport(Protocol):
 
         A message the framing refuses raises here, never later.
         """
+        ...
+
+    def send_all(self, peer_id: int, messages: list[dict]) -> None:
+        """:meth:`send` each message in order, as one write where possible."""
         ...
 
     def receive(self, timeout: float | None = None) -> tuple[int, dict] | None:
@@ -143,6 +158,10 @@ class MemoryTransport:
         if not self._closed:
             self._hub.post(self.node_id, peer_id, message)
 
+    def send_all(self, peer_id: int, messages: list[dict]) -> None:
+        for message in messages:
+            self.send(peer_id, message)
+
     def receive(self, timeout: float | None = None) -> tuple[int, dict] | None:
         inbox = self._hub.inbox(self.node_id)
         if inbox:
@@ -164,15 +183,21 @@ class _PeerLink:
     """Supervisor for one outbound (dialer-side) link.
 
     Owns a bounded deque of encoded frames and a daemon thread that
-    dials, identifies itself (HELLO), drains the deque, emits heartbeats
-    when idle, and on any link failure reconnects under
-    :func:`reconnect_delay`.  The head frame is only popped after a
-    successful send, so a failure mid-drain resends it on the next
-    connection (at-least-once).  Messages are encoded by
-    :meth:`enqueue`, on the caller's thread: a message the framing
-    refuses (:class:`~repro.net.framing.FrameTooLargeError`) raises
-    there and never enters the queue, where it would fail every
-    reconnect and wedge the frames behind it.
+    dials, identifies itself (HELLO), and on any link failure reconnects
+    under :func:`reconnect_delay`.  Messages are encoded by
+    :meth:`enqueue_all`, on the caller's thread: a message the framing
+    refuses (:class:`~repro.net.framing.FrameTooLargeError`) raises there
+    and never enters the queue, where it would fail every reconnect and
+    wedge the frames behind it.
+
+    While the link is up and no write is in progress, the caller writes
+    the queue straight to the socket without blocking; whatever the
+    socket does not take at once is finished by the supervisor thread.
+    :meth:`heartbeat` writes the same way.  A healthy link therefore
+    never wakes its supervisor, and a stalled peer never blocks the
+    caller.  Frames only leave the deque once fully written, so a
+    failure mid-write resends them on the next connection
+    (at-least-once).
     """
 
     def __init__(
@@ -198,7 +223,17 @@ class _PeerLink:
         self._deque: deque[bytes] = deque()
         self._cond = threading.Condition()
         self._closed = False
-        self._inflight = False
+        #: The connected socket, once HELLO is on it; None while down.
+        self._sock: socket.socket | None = None
+        #: One thread at a time writes to ``_sock``; this is its token.
+        self._writing = False
+        #: A caller's short write, handed to the supervisor:
+        #: ``(unwritten bytes, the frames they complete)``.
+        self._carry: tuple[bytes, list[bytes]] | None = None
+        #: A caller's write failed; the supervisor must reconnect.
+        self._broken = False
+        self._last_write = 0.0
+        self._flushing = 0
         self.drops = 0
         self.reconnects = 0
         self._thread = threading.Thread(
@@ -207,24 +242,105 @@ class _PeerLink:
         self._thread.start()
 
     def enqueue(self, message: dict) -> None:
-        frame = framing.encode_frame(message)
+        self.enqueue_all((message,))
+
+    def enqueue_all(self, messages: Iterable[dict]) -> None:
+        """Queue messages in order and, if the link is idle, write them now."""
+
+        frames = [framing.encode_frame(message) for message in messages]
         with self._cond:
             if self._closed:
                 return
-            if len(self._deque) >= self._queue_cap:
+            for frame in frames:
+                if len(self._deque) >= self._queue_cap:
+                    self._deque.popleft()
+                    self.drops += 1
+                self._deque.append(frame)
+            if not self._idle():
+                self._cond.notify_all()
+                return
+            sock, batch = self._take()
+        self._write(sock, batch)
+
+    def heartbeat(self, now: float) -> None:
+        """Write a heartbeat if the link is up, idle and has been quiet
+        for the heartbeat interval."""
+
+        with self._cond:
+            if (
+                self._closed
+                or self._deque
+                or not self._idle()
+                or now - self._last_write < self._heartbeat_interval
+            ):
+                return
+            self._deque.append(_HEARTBEAT)
+            sock, batch = self._take()
+        self._write(sock, batch)
+
+    def _idle(self) -> bool:
+        """Up, healthy and not being written to (lock held)."""
+
+        return self._sock is not None and not self._writing and not self._broken
+
+    def _take(self) -> tuple[socket.socket, list[bytes]]:
+        """Take the write token and the whole queue (lock held)."""
+
+        self._writing = True
+        return self._sock, list(self._deque)
+
+    def _write(self, sock: socket.socket, batch: list[bytes]) -> None:
+        """Write ``batch`` without blocking; hand any remainder to the
+        supervisor, or have it reconnect if the socket failed."""
+
+        data = batch[0] if len(batch) == 1 else b"".join(batch)
+        try:
+            sent = sock.send(data, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            with self._cond:
+                self._writing = False
+                self._broken = True
+                self._cond.notify_all()
+            return
+        with self._cond:
+            if sent == len(data):
+                self._written(batch)
+            else:
+                self._carry = (data[sent:], batch)
+                self._cond.notify_all()
+
+    def _written(self, batch: list[bytes]) -> None:
+        """Pop a fully written batch and release the write token (lock held).
+
+        Backpressure may have shed some of it meanwhile; only frames
+        still at the queue front are popped.
+        """
+
+        for frame in batch:
+            if self._deque and self._deque[0] is frame:
                 self._deque.popleft()
-                self.drops += 1
-            self._deque.append(frame)
+        self._writing = False
+        self._last_write = time.monotonic()
+        # Wake only a thread with something to do: the supervisor for
+        # frames queued meanwhile, or a flush.  A healthy link's writes
+        # then wake nobody.
+        if self._deque or self._flushing:
             self._cond.notify_all()
 
     def flush(self, deadline: float) -> bool:
         with self._cond:
-            while self._deque or self._inflight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    return not (self._deque or self._inflight)
-                self._cond.wait(remaining)
-            return True
+            self._flushing += 1
+            try:
+                while self._deque or self._writing:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0 or self._closed:
+                        return False
+                    self._cond.wait(remaining)
+                return True
+            finally:
+                self._flushing -= 1
 
     def close(self) -> None:
         with self._cond:
@@ -246,8 +362,8 @@ class _PeerLink:
                 sock.settimeout(None)
                 send_frame_bytes(sock.send, hello)
                 attempt = 0
-                self._drain(sock)
-                return  # only a clean close() exits the drain loop
+                self._serve(sock)
+                return  # only a clean close() ends the service loop
             except (WireError, OSError):
                 pass
             finally:
@@ -267,35 +383,51 @@ class _PeerLink:
                 )
             )
 
-    def _drain(self, sock: socket.socket) -> None:
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
-                if not self._deque:
-                    self._cond.wait(self._heartbeat_interval)
-                if self._closed:
-                    return
-                head = self._deque[0] if self._deque else None
-                if head is not None:
-                    self._inflight = True
-            if head is None:
-                send_frame_bytes(sock.send, _HEARTBEAT)
-                continue
-            try:
-                send_frame_bytes(sock.send, head)
-            except BaseException:
+    def _serve(self, sock: socket.socket) -> None:
+        """Own ``sock``: finish handed-over writes and drain the backlog."""
+
+        with self._cond:
+            self._sock = sock
+            self._broken = False
+            self._last_write = time.monotonic()
+        try:
+            while True:
                 with self._cond:
-                    self._inflight = False
-                    self._cond.notify_all()
-                raise
+                    data, batch = self._next_write()
+                    if data is None:
+                        return
+                send_frame_bytes(sock.send, data)
+                with self._cond:
+                    self._written(batch)
+        except WireError:
             with self._cond:
-                # Backpressure may have shed the head while it was being
-                # written; only pop if it is still the queue front.
-                if self._deque and self._deque[0] is head:
-                    self._deque.popleft()
-                self._inflight = False
+                self._writing = False
+                self._carry = None
                 self._cond.notify_all()
+            raise
+        finally:
+            with self._cond:
+                self._sock = None
+
+    def _next_write(self) -> tuple[bytes | None, list[bytes]]:
+        """Wait for the next write and take its token (lock held).
+
+        ``(None, [])`` means the link was closed; a caller's failed
+        write raises, to reconnect.
+        """
+
+        while True:
+            if self._closed:
+                return None, []
+            if self._broken:
+                raise WireError("send failed on the caller's thread")
+            if self._carry is not None:
+                carry, self._carry = self._carry, None
+                return carry
+            if self._deque and not self._writing:
+                _, batch = self._take()
+                return b"".join(batch), batch
+            self._cond.wait()
 
     def _interruptible_sleep(self, duration: float) -> None:
         deadline = time.monotonic() + duration
@@ -307,15 +439,44 @@ class _PeerLink:
                 self._cond.wait(remaining)
 
 
+def listen_on(address: tuple[str, int], n: int) -> socket.socket:
+    """A listening socket on ``address`` for an ``n``-node deployment."""
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(address)
+    listener.listen(max(8, 2 * n))
+    return listener
+
+
+class _Inbound:
+    """One accepted connection: its socket, unparsed bytes and peer id."""
+
+    __slots__ = ("sock", "buffer", "peer")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.buffer = bytearray()
+        self.peer: int | None = None  # set by the HELLO frame
+
+
 class TcpTransport:
     """Real-socket transport between OS processes (loopback or LAN).
 
     ``addresses`` maps every node id (self included) to a ``(host,
     port)`` pair; the transport binds its own listener and dials one
-    outbound link per peer.  Inbound connections identify themselves
-    with a HELLO frame; every received frame (heartbeats included)
-    refreshes liveness via ``on_heard`` before protocol frames are
-    queued for :meth:`receive`.
+    outbound link per peer (or takes ``listener``, already listening
+    on its address, from a launcher that opened every node's listener
+    before starting any, so no first dial is refused into backoff).
+
+    The inbound side has no threads: :meth:`receive` polls the listener
+    and every accepted connection with a selector on the caller's
+    thread, so a frame reaches the node with no hand-off between
+    threads.  Inbound connections identify themselves with a HELLO
+    frame; every received frame (heartbeats included) refreshes
+    liveness via ``on_heard`` before protocol frames are returned.  A
+    connection that sends a malformed frame is closed; the peer's link
+    reconnects and resends.
     """
 
     def __init__(
@@ -328,25 +489,22 @@ class TcpTransport:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         connect_timeout: float = 2.0,
-        frame_timeout: float | None = 60.0,
         on_heard: Callable[[int], None] | None = None,
+        listener: socket.socket | None = None,
     ) -> None:
         if node_id not in addresses:
             raise ValueError(f"addresses must include node {node_id} itself")
         self.node_id = node_id
         self._addresses = dict(addresses)
-        self._frame_timeout = frame_timeout
         self._on_heard = on_heard
-        self._inbox: queue.Queue = queue.Queue()
+        self._heartbeat_interval = heartbeat_interval
+        self._next_heartbeat = 0.0
+        self._inbox: deque[tuple[int, dict]] = deque()
         self._closed = False
-        self._inbound: list[FrameConnection] = []
-        self._inbound_lock = threading.Lock()
-
-        host, port = addresses[node_id]
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(max(8, 2 * len(addresses)))
+        self._listener = listener or listen_on(addresses[node_id], len(addresses))
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, None)
 
         self._links = {
             peer: _PeerLink(
@@ -362,10 +520,6 @@ class TcpTransport:
             for peer, addr in addresses.items()
             if peer != node_id
         }
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"accept-{node_id}", daemon=True
-        )
-        self._accept_thread.start()
 
     # -- Transport interface -----------------------------------------------
 
@@ -375,17 +529,33 @@ class TcpTransport:
     def send(self, peer_id: int, message: dict) -> None:
         """Encode and queue one message; an over-limit one raises here."""
 
+        self.send_all(peer_id, [message])
+
+    def send_all(self, peer_id: int, messages: list[dict]) -> None:
+        """Encode and queue messages in order; they go out as one write."""
+
         link = self._links.get(peer_id)
         if link is not None:
-            link.enqueue(message)
+            link.enqueue_all(messages)
 
     def receive(self, timeout: float | None = None) -> tuple[int, dict] | None:
-        try:
-            if timeout is None:
-                return self._inbox.get_nowait()
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        """Next ``(peer_id, message)``; ``timeout=None`` never blocks.
+
+        Heartbeats for quiet links go out from here too, so a node is
+        heard for as long as its own loop runs, and no thread wakes on
+        a timer while the links are busy.
+        """
+
+        if not self._inbox and not self._closed:
+            self._poll(0.0)
+            if timeout is not None:
+                deadline = time.monotonic() + timeout
+                while not self._inbox and not self._closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._poll(min(remaining, self._heartbeat_interval / 2))
+        return self._inbox.popleft() if self._inbox else None
 
     def flush(self, timeout: float | None = None) -> bool:
         deadline = time.monotonic() + (timeout if timeout is not None else 5.0)
@@ -397,14 +567,9 @@ class TcpTransport:
         self._closed = True
         for link in self._links.values():
             link.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._inbound_lock:
-            for conn in self._inbound:
-                conn.close()
-            self._inbound.clear()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
 
     # -- stats ---------------------------------------------------------------
 
@@ -416,48 +581,88 @@ class TcpTransport:
 
     # -- inbound side --------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
+    def _poll(self, timeout: float) -> None:
+        """Heartbeat quiet links, then accept and read whatever is ready
+        within ``timeout`` seconds."""
+
+        now = time.monotonic()
+        if now >= self._next_heartbeat:
+            self._next_heartbeat = now + self._heartbeat_interval / 2
+            for link in self._links.values():
+                link.heartbeat(now)
+        for key, _ in self._selector.select(timeout):
+            if key.data is None:
+                self._accept()
+            else:
+                self._read(key.data)
+
+    def _accept(self) -> None:
+        while True:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:
+            except OSError:  # nothing more pending, or the listener closed
                 return
+            sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(
-                target=self._inbound_loop,
-                args=(sock,),
-                name=f"inbound-{self.node_id}",
-                daemon=True,
-            ).start()
+            self._selector.register(sock, selectors.EVENT_READ, _Inbound(sock))
 
-    def _inbound_loop(self, sock: socket.socket) -> None:
-        conn = FrameConnection(sock, read_timeout=self._frame_timeout)
-        with self._inbound_lock:
-            self._inbound.append(conn)
+    def _read(self, conn: _Inbound) -> None:
+        """Take the bytes ready on ``conn`` and queue the whole frames.
+
+        Frames that arrived whole before the peer closed or reset the
+        connection are still delivered; a partial one dies with it.
+        """
+
+        closed = False
         try:
-            hello = conn.recv()
-            if (
-                not isinstance(hello, dict)
-                or hello.get("t") != "hello"
-                or not isinstance(hello.get("node"), int)
-            ):
-                return
-            peer = hello["node"]
-            if self._on_heard is not None:
-                self._on_heard(peer)
-            while not self._closed:
-                message = conn.recv()
-                if message is None:
-                    return
-                if self._on_heard is not None:
-                    self._on_heard(peer)
-                if message.get("t") == "hb":
-                    continue
-                self._inbox.put((peer, message))
+            while True:
+                chunk = conn.sock.recv(_RECV_BYTES)
+                if not chunk:
+                    closed = True
+                    break
+                conn.buffer += chunk
+                if len(chunk) < _RECV_BYTES:
+                    break
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError:
+            closed = True
+        try:
+            self._parse(conn)
         except WireError:
-            return
-        finally:
-            conn.close()
-            with self._inbound_lock:
-                if conn in self._inbound:
-                    self._inbound.remove(conn)
+            closed = True
+        if closed:
+            self._drop(conn)
+
+    def _parse(self, conn: _Inbound) -> None:
+        """Queue every whole frame in ``conn``'s buffer; a malformed one raises."""
+
+        buffer = conn.buffer
+        header = _FRAME_HEADER.size
+        offset = 0
+        while len(buffer) - offset >= header:
+            (length,) = _FRAME_HEADER.unpack_from(buffer, offset)
+            if length > framing.MAX_FRAME_BYTES:
+                raise framing.FrameTooLargeError(
+                    f"frame declares {length} bytes (limit {framing.MAX_FRAME_BYTES})"
+                )
+            end = offset + header + length
+            if len(buffer) < end:
+                break
+            frame = io.BytesIO(buffer[offset:end])
+            offset = end
+            message = framing.read_frame(frame.read)
+            if conn.peer is None:
+                peer = message.get("node") if message.get("t") == "hello" else None
+                if not isinstance(peer, int):
+                    raise framing.CorruptFrameError("connection did not open with HELLO")
+                conn.peer = peer
+            elif message.get("t") != "hb":
+                self._inbox.append((conn.peer, message))
+            if self._on_heard is not None:
+                self._on_heard(conn.peer)
+        del buffer[:offset]
+
+    def _drop(self, conn: _Inbound) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()

@@ -31,10 +31,11 @@ import signal
 import socket
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from repro.core.tobsvd import TobSvdConfig
 from repro.faults import FaultPlan, FaultSpec
-from repro.net.transport import MemoryHub, TcpTransport
+from repro.net.transport import MemoryHub, TcpTransport, listen_on
 from repro.node.failure import FailureDetector
 from repro.node.runtime import NodeRuntime, decisions_as_records
 
@@ -178,24 +179,6 @@ def drive_memory_cluster(
 # Loopback TCP deployment (one OS process per node)
 
 
-def allocate_loopback_ports(n: int) -> dict[int, tuple[str, int]]:
-    """Reserve ``n`` distinct loopback ports via bind-to-zero probing."""
-
-    probes = []
-    addresses: dict[int, tuple[str, int]] = {}
-    try:
-        for vid in range(n):
-            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            probe.bind(("127.0.0.1", 0))
-            probes.append(probe)
-            addresses[vid] = ("127.0.0.1", probe.getsockname()[1])
-    finally:
-        for probe in probes:
-            probe.close()
-    return addresses
-
-
 def _node_process_main(
     node_id: int,
     config: TobSvdConfig,
@@ -206,14 +189,21 @@ def _node_process_main(
     resumed: bool,
     suspicion_timeout: float,
     progress_timeout: float,
+    listener: socket.socket,
+    written_fd: int,
 ) -> None:
-    """Entry point of one node process; writes its result as JSON."""
+    """Entry point of one node process; writes its result as JSON.
+
+    A byte on ``written_fd`` tells the launcher the result is in place.
+    """
 
     plan = compile_deployment_plan(fault_spec, config) if fault_spec else None
     detector = FailureDetector(
         (peer for peer in addresses if peer != node_id), timeout=suspicion_timeout
     )
-    transport = TcpTransport(node_id, addresses, on_heard=detector.heard)
+    transport = TcpTransport(
+        node_id, addresses, on_heard=detector.heard, listener=listener
+    )
     runtime = NodeRuntime(
         node_id,
         config,
@@ -235,6 +225,7 @@ def _node_process_main(
         with open(path + ".tmp", "w", encoding="utf-8") as handle:
             json.dump(result, handle, sort_keys=True)
         os.replace(path + ".tmp", path)
+        os.write(written_fd, b"\0")
         _linger_for_peers(out_dir, config.n, node_id)
     finally:
         transport.close()
@@ -306,7 +297,14 @@ def run_local_deployment(
         os.makedirs(out_dir, exist_ok=True)
     plan = compile_deployment_plan(fault_spec, config) if fault_spec else None
     kill_schedule = plan.kill_schedule() if (plan and chaos == "kill") else {}
-    addresses = allocate_loopback_ports(config.n)
+    # Every listener is open before any node dials, and a respawned node
+    # inherits its predecessor's: no dial is refused into backoff, so
+    # links come up at once whatever order the processes start in.
+    listeners = {vid: listen_on(("127.0.0.1", 0), config.n) for vid in range(config.n)}
+    addresses = {vid: listener.getsockname() for vid, listener in listeners.items()}
+    # Nodes signal each result they write, so the launcher sees the last
+    # one at once instead of polling for it.
+    written_r, written_w = os.pipe()
     ctx = multiprocessing.get_context("fork")
 
     def spawn(vid: int, resumed: bool):
@@ -322,6 +320,8 @@ def run_local_deployment(
                 resumed,
                 suspicion_timeout,
                 progress_timeout,
+                listeners[vid],
+                written_w,
             ),
             name=f"repro-node-{vid}",
         )
@@ -329,26 +329,33 @@ def run_local_deployment(
         return process
 
     started = time.monotonic()
-    processes = {vid: spawn(vid, False) for vid in range(config.n)}
+    processes: dict[int, multiprocessing.Process] = {}
     restarts: dict[int, int] = {}
     try:
+        for vid in range(config.n):
+            processes[vid] = spawn(vid, False)
         deadline = started + deploy_timeout
+        # Processes not yet seen to exit; the launcher sleeps until one
+        # exits or a node signals a written result.
+        watched = dict(processes)
         while True:
-            alive = {vid: p for vid, p in processes.items() if p.is_alive()}
             done = all(
                 os.path.exists(os.path.join(out_dir, f"node-{vid}.json"))
                 for vid in range(config.n)
             )
             if done:
                 break
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining < 0:
+                alive = sorted(vid for vid, p in processes.items() if p.is_alive())
                 raise TimeoutError(
                     f"deployment did not finish within {deploy_timeout}s "
-                    f"(alive={sorted(alive)})"
+                    f"(alive={alive})"
                 )
-            for vid, process in list(processes.items()):
+            for vid, process in list(watched.items()):
                 if process.is_alive():
                     continue
+                del watched[vid]
                 code = process.exitcode
                 expected_kill = (
                     vid in kill_schedule
@@ -357,14 +364,16 @@ def run_local_deployment(
                 )
                 if expected_kill:
                     restarts[vid] = restarts.get(vid, 0) + 1
-                    processes[vid] = spawn(vid, True)
+                    processes[vid] = watched[vid] = spawn(vid, True)
                 elif code not in (0, None) and not os.path.exists(
                     os.path.join(out_dir, f"node-{vid}.json")
                 ):
                     raise RuntimeError(
                         f"node {vid} exited with {code} before writing a result"
                     )
-            time.sleep(0.02)
+            sentinels = [process.sentinel for process in watched.values()]
+            if written_r in wait([written_r, *sentinels], timeout=remaining):
+                os.read(written_r, 64)
         elapsed = time.monotonic() - started
         nodes: dict[int, dict] = {}
         for vid in range(config.n):
@@ -379,5 +388,9 @@ def run_local_deployment(
                 process.terminate()
         for process in processes.values():
             process.join(timeout=5.0)
+        for listener in listeners.values():
+            listener.close()
+        os.close(written_r)
+        os.close(written_w)
         if scratch is not None:
             scratch.cleanup()

@@ -15,7 +15,8 @@ pure function of *which envelope sets* exist at each phase tick.  The
 runtime preserves those sets over a real network with three mechanisms:
 
 * **Logical-tick lockstep.**  A node finishes tick ``t``, transmits that
-  tick's envelopes, then a ``done(t)`` marker on the same FIFO links —
+  tick's envelopes, then a ``done(t)`` marker on the same FIFO links, all
+  of them in one write per peer —
   so receiving ``done(t)`` proves every envelope the peer sent at ticks
   ``<= t`` has been received.  Tick ``t+1`` only runs once every
   non-degraded peer confirmed ``t``, hence every envelope due at or
@@ -273,6 +274,8 @@ class NodeRuntime:
         self.tick = 0
         self.frontier = -1
         self.done: dict[int, int] = {peer: -1 for peer in transport.peer_ids()}
+        #: Frames this tick has produced per peer; they go out with its done.
+        self._outbox: dict[int, list[dict]] = {peer: [] for peer in transport.peer_ids()}
         self._poll_interval = poll_interval
         self._progress_timeout = progress_timeout
         self._started = False
@@ -335,10 +338,10 @@ class NodeRuntime:
             "env": encode_envelope(envelope, self._shipped),
         }
         signer = envelope.signature.signer
-        for peer in self.transport.peer_ids():
+        for peer, outbox in self._outbox.items():
             if skip_signer and peer == signer:
                 continue
-            self.transport.send(peer, frame)
+            outbox.append(frame)
 
     def _note_own(self, log) -> None:
         """Note an outgoing log and its unnoted prefixes in the lineage.
@@ -511,8 +514,10 @@ class NodeRuntime:
         self.sim.run_until(tick)
         self.frontier = tick
         done = {"t": "done", "at": tick}
-        for peer in self.transport.peer_ids():
-            self.transport.send(peer, done)
+        for peer, outbox in self._outbox.items():
+            outbox.append(done)
+            self.transport.send_all(peer, outbox)
+            outbox.clear()
 
     def _self_kill(self) -> None:  # pragma: no cover - the process dies here
         """Planned process chaos: flush the wire, then die uncleanly."""

@@ -18,7 +18,7 @@ import pytest
 from repro.core.tobsvd import TobSvdConfig
 from repro.faults import FaultSpec
 from repro.net.framing import encode_frame
-from repro.net.transport import MemoryHub
+from repro.net.transport import MemoryHub, MemoryTransport
 from repro.node import codec
 from repro.node import runtime as node_runtime
 from repro.node.codec import Unresolved, decode_envelope
@@ -192,6 +192,36 @@ class TestLongHorizon:
                 assert not isinstance(decode_envelope(wire, lineage), Unresolved)
 
 
+class TestTickBatches:
+    def test_each_tick_leaves_as_one_batch_per_peer_ending_in_its_done(self, monkeypatch):
+        batches, posts = [], []
+        send_all, post = MemoryTransport.send_all, MemoryHub.post
+
+        def recording_send_all(transport, peer, messages):
+            batches.append((transport.node_id, peer, list(messages)))
+            return send_all(transport, peer, messages)
+
+        def recording_post(hub, sender, recipient, message):
+            posts.append(message)
+            return post(hub, sender, recipient, message)
+
+        monkeypatch.setattr(MemoryTransport, "send_all", recording_send_all)
+        monkeypatch.setattr(MemoryHub, "post", recording_post)
+        assert_identical(N4, run_memory_cluster(N4))
+        dones: dict[tuple[int, int], list[int]] = {}
+        for node, peer, messages in batches:
+            *frames, done = messages
+            assert done["t"] == "done"
+            assert all(frame["t"] == "env" for frame in frames)
+            dones.setdefault((node, peer), []).append(done["at"])
+        assert len(dones) == N4.n * (N4.n - 1)
+        assert all(ticks == list(range(N4.horizon + 1)) for ticks in dones.values())
+        # No env frame leaves outside its tick's batch.
+        batched = sum(len(messages) - 1 for _, _, messages in batches)
+        assert batched > 0
+        assert sum(1 for message in posts if message["t"] == "env") == batched
+
+
 @pytest.mark.slow
 class TestLoopbackEquivalence:
     """Real processes, real sockets, same bytes."""
@@ -202,6 +232,12 @@ class TestLoopbackEquivalence:
         assert deployment.restarts == {}
         assert deployment.total_decisions > 0
         assert deployment.decisions_per_sec() > 0
+        # Every listener is open before any node dials: no link backs off.
+        assert all(
+            link["reconnects"] == 0
+            for result in deployment.nodes.values()
+            for link in result["link_stats"].values()
+        )
 
     def test_tcp_n8_is_byte_identical(self):
         deployment = run_local_deployment(N8)
