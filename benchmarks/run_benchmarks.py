@@ -57,11 +57,13 @@ decisions/sec of an n=4 loopback-TCP deployment of unmodified
 validators in logical-tick lockstep (``repro deploy local``'s engine).
 Process spawn is inside the figure.  Logs travel as delta frames, so
 the wire codec no longer dominates: the traced 64-view ``node-tcp``
-perfbench run on 2 vCPUs books 0.77 s to hashing, decode, framing and
-encode together (7.4 s with whole-chain frames), 0.61 s to per-tick
-protocol compute, and 2.2 s (summed over the four nodes) to waiting at
-the done barrier for peers that share the two cores.  Gate it like the
-other real-process family (``--tolerance 'node.*=0.9'``).
+perfbench run on 2 vCPUs books 0.55 s to hashing, decode, framing and
+encode together (5.4 s with whole-chain frames), 0.18 s to per-tick
+protocol compute, and 1.2 s (summed over the four nodes) to
+``TcpTransport.receive``: waiting at the done barrier for peers that
+share the two cores, plus reading the frames, which happens there on
+the node's own thread.  Gate it like the other real-process family
+(``--tolerance 'node.*=0.9'``).
 
 The ``snapshot.*`` family measures the snapshot/fork engine: captures
 per second of a warmed n=8 run (``snapshot.save_n8``), forked
@@ -647,7 +649,7 @@ def _measure_node_family(smoke: bool) -> dict[str, float]:
     vCPUs); the wire codec costs O(new suffix) per message, and a traced
     long run splits the rest into barrier wait, per-tick protocol
     compute and, a tenth of its old share, the codec — see the module
-    docstring.  Process spawn and port allocation are inside the
+    docstring.  Process spawn and listener set-up are inside the
     measurement (they are part of what a deployment costs), hence the
     generous CI tolerance (``--tolerance 'node.*=0.9'``).
     """
